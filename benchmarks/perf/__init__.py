@@ -20,11 +20,11 @@ Three benchmarks cover the three performance-critical layers:
   replacing all but a few foreground flows with a fluid ensemble.
 
 The payload records which event-engine backend ran the suite (the
-``engine`` key, resolved from ``REPRO_ENGINE``) and, since
+``engine`` key, as ``Simulator()`` resolves it) and, since
 ``repro-bench/3``, which compiled tier served it (the ``compiled`` key:
-``"cext"`` / ``"mypyc"`` / ``"cython"``, or ``null`` for pure Python —
-see :mod:`repro.compiled`); numbers from different backends or tiers
-are not comparable, and the perf guard skips rather than compare them.
+``"cext"``, or ``null`` for pure Python — see :mod:`repro.compiled`);
+numbers from different backends are not comparable, and the perf guard
+skips rather than compare them.
 
 Run ``PYTHONPATH=src python -m benchmarks.perf`` from the repo root to
 regenerate ``BENCH_sim.json`` (the committed perf trajectory, diffed
@@ -410,8 +410,8 @@ def run_suite(quick: bool = False, repeat: int = 3) -> Dict:
         "quick": quick,
         "python": "%d.%d.%d" % sys.version_info[:3],
         "engine": engine_cls.__name__,
-        # which compiled tier (cext/mypyc/cython) served the run, or None
-        # for pure Python — only meaningful when the engine is compiled
+        # which compiled tier (cext) served the run, or None for pure
+        # Python — only meaningful when the engine is compiled
         "compiled": active_tier() if engine_cls.__name__ == "CompiledSimulator" else None,
         "benchmarks": benchmarks,
     }

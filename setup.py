@@ -6,8 +6,6 @@ lacks the ``wheel`` package (legacy editable installs go through
 
     pip install -e .                         # pure Python, zero build steps
     REPRO_BUILD_COMPILED=1 pip install -e .  # + hand-written C core
-    pip install -e .[compiled]               # + mypyc toolchain for
-    REPRO_BUILD_COMPILED=mypyc pip install -e .
 
 See docs/PERFORMANCE.md ("Building the compiled engine") and
 ``python -m repro.compiled.build`` for in-place builds without

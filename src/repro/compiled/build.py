@@ -1,35 +1,27 @@
 """Build tooling for the optional compiled engine.
 
-Three tiers, one command each (see :mod:`repro.compiled` for how the
-built artifacts are discovered and selected at runtime)::
+One artifact, one command (see :mod:`repro.compiled` for how the built
+extension is discovered and selected at runtime)::
 
-    python -m repro.compiled.build                 # auto: best tier that builds
-    python -m repro.compiled.build --tier cext     # hand-written C core
-    python -m repro.compiled.build --tier mypyc    # mypyc whole-module build
-    python -m repro.compiled.build --tier cython   # Cython whole-module build
-    python -m repro.compiled.build --status        # report what's built/active
+    python -m repro.compiled.build             # build the C core in place
+    python -m repro.compiled.build --status    # report what's built/active
+    python -m repro.compiled.build --clean     # remove the built artifact
 
-The ``cext`` tier needs only a C compiler and the CPython headers; the
-``mypyc``/``cython`` tiers additionally need their toolchain importable
-(neither is a runtime dependency — when absent the tier reports
-"toolchain unavailable" and ``auto`` moves on).  Artifacts land
-in-place next to this file, so a source checkout picks them up on the
-next import with zero configuration; remove them with ``--clean``.
+The C core needs only a C compiler and the CPython headers.  The
+artifact lands in-place next to this file, so a source checkout picks
+it up on the next import with zero configuration.
 
 ``pip install`` integration: ``REPRO_BUILD_COMPILED=1 pip install -e .``
 routes through :func:`extensions_for_setup` in ``setup.py`` and builds
-the same artifacts during install (``pip install -e .[compiled]`` pulls
-the mypyc toolchain in as an extra first).  A plain
-``pip install -e .`` never compiles anything — pure Python works with
-zero build steps.
+the same artifact during install.  A plain ``pip install -e .`` never
+compiles anything — pure Python works with zero build steps.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import shutil
-import sys
 import sysconfig
 from pathlib import Path
 from typing import List, Optional
@@ -37,38 +29,42 @@ from typing import List, Optional
 __all__ = [
     "PACKAGE_DIR",
     "build_cext",
-    "build_module_tier",
     "clean",
     "extensions_for_setup",
     "main",
 ]
 
 PACKAGE_DIR = Path(__file__).resolve().parent
-_ENGINE_SOURCE = PACKAGE_DIR.parent / "sim" / "engine.py"
-_MODULE_TIER_STEM = "_compiled_engine"
-_BUILD_INFO = PACKAGE_DIR / "_build_info.json"
+_SOURCE = PACKAGE_DIR / "_core.c"
+
+_OFF = ("", "0", "off", "false", "no")
+_ON = ("1", "on", "true", "yes")
 
 
-def _ext_suffix() -> str:
-    return sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-
-
-def _artifacts(stem: str) -> List[Path]:
-    return sorted(PACKAGE_DIR.glob(f"{stem}.*.so")) + sorted(
-        PACKAGE_DIR.glob(f"{stem}.*.pyd")
+def _artifacts() -> List[Path]:
+    return sorted(PACKAGE_DIR.glob("_core*.so")) + sorted(
+        PACKAGE_DIR.glob("_core*.pyd")
     )
 
 
-def _run_build_ext(extensions, verbose: bool = False) -> None:
-    """Drive setuptools' build_ext in-place for *extensions*."""
+def _extension(source: str):
+    from setuptools import Extension
+
+    return Extension("repro.compiled._core", sources=[source])
+
+
+def build_cext(verbose: bool = False) -> Path:
+    """Compile the hand-written C core in place; return the artifact."""
     import tempfile
 
     from setuptools import Distribution
 
+    if not _SOURCE.exists():
+        raise FileNotFoundError(f"missing C source {_SOURCE}")
     dist = Distribution(
         {
             "name": "repro-compiled",
-            "ext_modules": extensions,
+            "ext_modules": [_extension(str(_SOURCE))],
             "package_dir": {"": str(PACKAGE_DIR.parent.parent)},
         }
     )
@@ -80,124 +76,21 @@ def _run_build_ext(extensions, verbose: bool = False) -> None:
         cmd.verbose = verbose
         cmd.ensure_finalized()
         cmd.run()
-
-
-def _stamp(tier: str, tool_version: str) -> None:
-    _BUILD_INFO.write_text(
-        json.dumps(
-            {
-                "tier": tier,
-                "tool_version": tool_version,
-                "python": sys.version.split()[0],
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-
-
-def build_cext(verbose: bool = False) -> Path:
-    """Compile the hand-written C core in place; return the artifact."""
-    from setuptools import Extension
-
-    source = PACKAGE_DIR / "_core.c"
-    if not source.exists():
-        raise FileNotFoundError(f"missing C source {source}")
-    _run_build_ext(
-        [Extension("repro.compiled._core", sources=[str(source)])],
-        verbose=verbose,
-    )
-    out = PACKAGE_DIR / f"_core{_ext_suffix()}"
+    out = PACKAGE_DIR / f"_core{sysconfig.get_config_var('EXT_SUFFIX') or '.so'}"
     if not out.exists():
-        built = _artifacts("_core")
+        built = _artifacts()
         if not built:
             raise RuntimeError("build_ext reported success but no _core artifact found")
         out = built[-1]
     return out
 
 
-def _module_tier_source() -> Path:
-    """Materialise the engine-module copy the module tier compiles.
-
-    mypyc and Cython both compile a whole module; compiling
-    ``repro.sim.engine`` in place would *replace* the pure engine, so
-    the build instead compiles a verbatim copy installed as
-    ``repro.compiled._compiled_engine``.  The copy is regenerated on
-    every build (never committed) so it cannot drift from the source.
-    """
-    target = PACKAGE_DIR / f"{_MODULE_TIER_STEM}.py"
-    text = _ENGINE_SOURCE.read_text()
-    header = (
-        '"""Generated copy of repro.sim.engine for whole-module compilation.\n\n'
-        "Regenerated by python -m repro.compiled.build; do not edit or commit.\n"
-        '"""\n'
-    )
-    # The copy must resolve its relative imports without being inside
-    # repro.sim; the engine module is deliberately self-contained except
-    # for the lazy snapshot/compiled imports, which are absolute enough
-    # to survive relocation once rewritten.
-    text = text.replace("from ..snapshot.errors import", "from repro.snapshot.errors import")
-    text = text.replace("from ..compiled import", "from repro.compiled import")
-    target.write_text(header + text)
-    return target
-
-
-def build_module_tier(tool: str, verbose: bool = False) -> Path:
-    """Compile the whole engine module with *tool* (mypyc or cython)."""
-    source = _module_tier_source()
-    try:
-        if tool == "mypyc":
-            try:
-                from mypyc.build import mypycify
-            except ImportError as exc:
-                raise RuntimeError(
-                    "mypyc toolchain unavailable (pip install -e .[compiled])"
-                ) from exc
-            import mypy.version
-
-            extensions = mypycify([str(source)])
-            version = mypy.version.__version__
-        elif tool == "cython":
-            try:
-                from Cython.Build import cythonize
-            except ImportError as exc:
-                raise RuntimeError("Cython toolchain unavailable") from exc
-            import Cython
-
-            extensions = cythonize([str(source)], language_level=3, quiet=not verbose)
-            version = Cython.__version__
-        else:
-            raise ValueError(f"unknown module tier {tool!r}")
-        _run_build_ext(extensions, verbose=verbose)
-    finally:
-        # the generated .py copy must not shadow the built artifact (or
-        # linger as an importable pure duplicate when the build fails)
-        source.unlink(missing_ok=True)
-    built = _artifacts(_MODULE_TIER_STEM) + [
-        p
-        for p in [PACKAGE_DIR / f"{_MODULE_TIER_STEM}{_ext_suffix()}"]
-        if p.exists()
-    ]
-    if not built:
-        raise RuntimeError(f"{tool} reported success but no artifact found")
-    _stamp(tool, version)
-    return built[-1]
-
-
 def clean() -> List[Path]:
     """Remove every built artifact; return what was removed."""
     removed: List[Path] = []
-    for stem in ("_core", _MODULE_TIER_STEM):
-        for path in set(
-            _artifacts(stem)
-            + [p for p in [PACKAGE_DIR / f"{stem}{_ext_suffix()}"] if p.exists()]
-        ):
-            path.unlink()
-            removed.append(path)
-    for extra in (_BUILD_INFO, PACKAGE_DIR / f"{_MODULE_TIER_STEM}.py"):
-        if extra.exists():
-            extra.unlink()
-            removed.append(extra)
+    for path in _artifacts():
+        path.unlink()
+        removed.append(path)
     build_dir = PACKAGE_DIR / "build"
     if build_dir.is_dir():
         shutil.rmtree(build_dir)
@@ -208,38 +101,18 @@ def clean() -> List[Path]:
 def extensions_for_setup() -> list:
     """Extension list for ``setup.py`` under ``REPRO_BUILD_COMPILED``.
 
-    ``REPRO_BUILD_COMPILED=1``/``cext`` → the hand-written C core;
-    ``mypyc``/``cython`` → the whole-module tier (requires the
-    toolchain).  Unset/``0`` → no extensions: pure-Python installs stay
-    build-free.
+    On (``1``/``on``/``true``/``yes``) → the hand-written C core; off
+    (unset/``0``/``off``/``false``/``no``) → no extensions, so
+    pure-Python installs stay build-free.
     """
-    import os
-
-    from setuptools import Extension
-
     value = os.environ.get("REPRO_BUILD_COMPILED", "").strip().lower()
-    if value in ("", "0", "off", "false", "no"):
+    if value in _OFF:
         return []
-    if value in ("1", "on", "true", "yes", "auto", "cext"):
-        return [
-            Extension(
-                "repro.compiled._core",
-                sources=[str((PACKAGE_DIR / "_core.c").relative_to(Path.cwd()))]
-                if PACKAGE_DIR.is_relative_to(Path.cwd())
-                else [str(PACKAGE_DIR / "_core.c")],
-            )
-        ]
-    if value == "mypyc":
-        from mypyc.build import mypycify
-
-        return mypycify([str(_module_tier_source())])
-    if value == "cython":
-        from Cython.Build import cythonize
-
-        return cythonize([str(_module_tier_source())], language_level=3)
-    raise ValueError(
-        f"REPRO_BUILD_COMPILED={value!r}: use 0/1/cext/mypyc/cython"
-    )
+    if value not in _ON:
+        raise ValueError(f"REPRO_BUILD_COMPILED={value!r}: use 0 or 1")
+    cwd = Path.cwd()
+    source = _SOURCE.relative_to(cwd) if _SOURCE.is_relative_to(cwd) else _SOURCE
+    return [_extension(str(source))]
 
 
 def _print_status() -> int:
@@ -259,13 +132,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (``python -m repro.compiled.build``)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.compiled.build",
-        description="Build the optional compiled engine in place.",
-    )
-    parser.add_argument(
-        "--tier",
-        choices=["auto", "cext", "mypyc", "cython"],
-        default="auto",
-        help="which compilation tier to build (auto: mypyc if importable, else cext)",
+        description="Build the optional compiled engine (C core) in place.",
     )
     parser.add_argument("--clean", action="store_true", help="remove built artifacts")
     parser.add_argument("--status", action="store_true", help="report build/activation state")
@@ -278,19 +145,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for path in clean():
             print(f"removed {path}")
         return 0
-
-    tier = args.tier
-    if tier == "auto":
-        try:
-            import mypyc.build  # noqa: F401
-        except ImportError:
-            tier = "cext"
-        else:
-            tier = "mypyc"
-    if tier == "cext":
-        out = build_cext(verbose=args.verbose)
-    else:
-        out = build_module_tier(tier, verbose=args.verbose)
+    out = build_cext(verbose=args.verbose)
     print(f"built {out}")
     print("verify with: python -m repro.compiled.build --status")
     return 0

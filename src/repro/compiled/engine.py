@@ -30,8 +30,7 @@ from . import status as _status
 
 __all__ = ["CompiledSimulator"]
 
-_st = _status()
-_core = _st.module if _st.tier == "cext" else None
+_core = _status().module
 
 
 class CompiledSimulator(ArraySimulator):
@@ -39,12 +38,12 @@ class CompiledSimulator(ArraySimulator):
 
     Selected automatically by :func:`repro.sim.engine.get_engine_class`
     when the extension is built and ``REPRO_COMPILED`` does not pin pure
-    Python; constructible directly (or via ``REPRO_ENGINE=compiled``)
-    for explicit control.  Behaviour is bit-identical to
-    :class:`~repro.sim.engine.ArraySimulator`: same event ordering,
-    sequence numbering, ``events_processed`` counts, error messages,
-    and snapshot state — the differential suite and the determinism
-    goldens hold it to that.
+    Python; constructible directly (or via
+    ``get_engine_class("compiled")``) for explicit control.  Behaviour
+    is bit-identical to :class:`~repro.sim.engine.ArraySimulator`: same
+    event ordering, sequence numbering, ``events_processed`` counts,
+    error messages, and snapshot state — the differential suite and the
+    determinism goldens hold it to that.
     """
 
     __slots__ = ()

@@ -270,7 +270,7 @@ def _resolve_params(
     )
 
 
-def _build_dumbbell(params: Dict[str, Any], collector) -> _DumbbellState:
+def _assemble_dumbbell(params: Dict[str, Any], collector) -> _DumbbellState:
     """Construct topology, flows, traffic and monitors for *params*.
 
     The construction order below is load-bearing: components claim RNG
@@ -414,7 +414,7 @@ def _resume_or_build(params, collector, ckpt) -> _DumbbellState:
                 return state
             ckpt.reject()
     t0 = time.monotonic()
-    state = _build_dumbbell(params, collector)
+    state = _assemble_dumbbell(params, collector)
     active = obs_runtime.active()
     if active is not None:
         active.add_phase("setup", time.monotonic() - t0)
@@ -540,7 +540,7 @@ def warm_dumbbell_bytes(scheme: str, bandwidth: float, **kwargs) -> bytes:
     )
     defaults.update(kwargs)
     params = _resolve_params(scheme=scheme, bandwidth=bandwidth, **defaults)
-    state = _build_dumbbell(params, collector=None)
+    state = _assemble_dumbbell(params, collector=None)
     _warm_dumbbell(state)
     return capture_bytes(state.sim, state)
 

@@ -9,7 +9,6 @@ from .registry import (
     FluidModel,
     fluid_model_params,
     make_fluid_model,
-    reset_legacy_warnings,
 )
 from .spectrum import (
     pert_red_linearization,
@@ -42,7 +41,6 @@ __all__ = [
     "FLUID_MODELS",
     "make_fluid_model",
     "fluid_model_params",
-    "reset_legacy_warnings",
     "RateSegment",
     "RateTrajectory",
     "rate_trajectory",

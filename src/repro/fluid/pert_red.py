@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import _legacy
 from .dde import DdeBatchSolution, DdeSolution, integrate_dde, integrate_dde_batch
 
 __all__ = ["PertRedFluidModel", "simulate_batch"]
@@ -80,11 +79,14 @@ class PertRedFluidModel:
     n_of_t: Optional[Callable[[float], float]] = None
 
     def __post_init__(self) -> None:
-        _legacy.maybe_warn_legacy_init(type(self))
         if self.capacity <= 0 or self.n_flows <= 0 or self.rtt <= 0:
             raise ValueError("capacity, n_flows and rtt must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0 < self.p_max <= 1:
+            raise ValueError("p_max must be in (0, 1]")
         if not 0 <= self.t_min < self.t_max:
             raise ValueError("need 0 <= t_min < t_max")
         if not 0 < self.beta_decrease < 1:

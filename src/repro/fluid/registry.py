@@ -1,18 +1,18 @@
 """Unified fluid-model construction: the ``make_fluid_model`` registry.
 
-Historically the three fluid models (:class:`TcpRedFluidModel`,
-:class:`PertRedFluidModel`, :class:`PertPiFluidModel`) were constructed
-ad hoc, with call sites hard-coding the class and its keyword
-conventions.  This module replaces that with the same declarative shape
-the queue disciplines use (:func:`repro.sim.queues.make_queue`):
+The three fluid models (:class:`TcpRedFluidModel`,
+:class:`PertRedFluidModel`, :class:`PertPiFluidModel`) can be built by
+name through the same declarative shape the queue disciplines use
+(:func:`repro.sim.queues.make_queue`):
 
 >>> model = make_fluid_model("pert_red", capacity=1000.0, n_flows=50)
 
 ``make_fluid_model`` validates every parameter against the implementing
 dataclass's constructor signature and rejects unknown model names and
-parameters eagerly, with the valid names listed.  Direct constructor
-calls (``PertRedFluidModel(...)``) still work but emit one
-:class:`DeprecationWarning` per class per process.
+parameters eagerly, with the valid names listed.  The dataclass
+constructors (``PertRedFluidModel(...)``) are the one construction
+path; ``make_fluid_model`` is the name-keyed front door for serialised
+configs and calls them.
 
 The :class:`FluidModel` protocol documents the surface every registered
 model shares — the hybrid engine (:mod:`repro.hybrid`) and the rate
@@ -27,8 +27,6 @@ from typing import Any, Dict, Protocol, Tuple, Type, runtime_checkable
 
 import numpy as np
 
-from . import _legacy
-from ._legacy import reset_legacy_warnings
 from .dde import DdeSolution
 from .pert_pi import PertPiFluidModel
 from .pert_red import PertRedFluidModel
@@ -39,7 +37,6 @@ __all__ = [
     "FLUID_MODELS",
     "make_fluid_model",
     "fluid_model_params",
-    "reset_legacy_warnings",
 ]
 
 
@@ -84,13 +81,6 @@ FLUID_MODELS: Dict[str, Type] = {
     "pert_pi": PertPiFluidModel,
 }
 
-# Register the concrete classes so their __post_init__ warns on direct
-# construction (make_fluid_model suppresses the warning for itself).
-for _cls in FLUID_MODELS.values():
-    _legacy._LEGACY_SHIMMED.add(_cls)
-del _cls
-
-
 def fluid_model_params(name: str) -> Dict[str, inspect.Parameter]:
     """Constructor keywords accepted by the named model."""
     cls = FLUID_MODELS.get(name)
@@ -118,6 +108,4 @@ def make_fluid_model(name: str, **params: Any) -> FluidModel:
             f"unknown parameter(s) {unknown} for fluid model {name!r}; "
             f"valid: {sorted(allowed)}"
         )
-    cls = FLUID_MODELS[name]
-    with _legacy.factory_construction():
-        return cls(**params)
+    return FLUID_MODELS[name](**params)

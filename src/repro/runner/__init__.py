@@ -19,7 +19,7 @@ results in the same (spec) order whether executed serially, in parallel,
 or from cache — enforced by ``tests/runner/``.
 """
 
-from .cache import ResultCache, default_cache_dir, migrate_cache, resolve_cache
+from .cache import ResultCache, default_cache_dir, resolve_cache
 from .executor import JobResult, resolve_workers, run_jobs
 from .registry import register, registered_kinds, resolve_job
 from .spec import (
@@ -48,7 +48,6 @@ __all__ = [
     "content_key",
     "default_cache_dir",
     "dumbbell_spec",
-    "migrate_cache",
     "format_eta",
     "parking_lot_spec",
     "progress_line",

@@ -11,14 +11,10 @@ is a **content address** over the full job spec (``kind`` + canonical
 params) plus the runner's ``CACHE_SCHEMA`` — editing simulation
 parameters or bumping the payload schema starts a fresh namespace, while
 package-version bumps do *not*: a point computed once is a hit for every
-later sweep that asks for the same content.  Old entries are inert
-files — delete the cache root to reclaim space.
-
-Migration: cache directories written before schema 2 (whose keys were
-additionally salted with ``repro.__version__``) are rehashed in place by
-:func:`migrate_cache` — invoked automatically, one-shot, the first time
-a :class:`ResultCache` opens such a directory.  A ``cache-schema.json``
-marker records the migrated schema so later opens skip the scan.
+later sweep that asks for the same content.  Old entries — including
+those of a schema-1 directory, whose keys were additionally salted with
+``repro.__version__`` — are inert files that simply miss and get
+recomputed; delete the cache root to reclaim space.
 """
 
 from __future__ import annotations
@@ -30,14 +26,12 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from ..obs.manifest import MANIFEST_SUFFIX, TRACE_SUFFIX
-from .spec import CACHE_SCHEMA, JobSpec
+from .spec import JobSpec
 
 __all__ = [
     "CHECKPOINT_SUFFIX",
-    "SCHEMA_MARKER",
     "ResultCache",
     "default_cache_dir",
-    "migrate_cache",
     "resolve_cache",
 ]
 
@@ -46,9 +40,6 @@ _DISABLE_VALUES = {"0", "off", "false", "no"}
 #: checkpoint filename suffix (sibling of the cache entry)
 CHECKPOINT_SUFFIX = ".ckpt"
 
-#: marker file recording the keying schema a cache dir was migrated to
-SCHEMA_MARKER = "cache-schema.json"
-
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
@@ -56,80 +47,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro"
-
-
-def migrate_cache(root: Union[str, Path]) -> int:
-    """One-shot migration of *root* to content-addressed (schema 2) keys.
-
-    Walks every cache entry, recomputes its content address from the
-    stored ``kind`` + ``params``, and moves mis-keyed entries (schema-1
-    keys were version-salted) to their new location — along with their
-    sibling manifest, trace and checkpoint files, with the manifest's
-    ``key`` field rewritten to match.  Entries that already live at
-    their content address are untouched, so the migration is idempotent
-    and safe to race: both racers compute identical targets and writes
-    are atomic renames.
-
-    Returns the number of entries rehashed; writes the
-    :data:`SCHEMA_MARKER` so subsequent :class:`ResultCache` opens skip
-    the scan entirely.  Unparseable files are left alone (the normal
-    corrupt-entry handling discards them on first ``get``).
-    """
-    root = Path(root)
-    moved = 0
-    if root.is_dir():
-        for path in sorted(root.glob("??/*.json")):
-            name = path.name
-            if name.endswith(MANIFEST_SUFFIX) or len(name) != 64 + len(".json"):
-                continue
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    entry = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(entry, dict) or "payload" not in entry:
-                continue
-            kind, params = entry.get("kind"), entry.get("params")
-            if not isinstance(kind, str) or not isinstance(params, dict):
-                continue
-            try:
-                spec = JobSpec(kind, params)
-            except TypeError:
-                continue
-            key = spec.cache_key
-            if entry.get("key") == key and name == f"{key}.json":
-                continue
-            entry["key"] = key
-            new_path = root / key[:2] / f"{key}.json"
-            new_path.parent.mkdir(parents=True, exist_ok=True)
-            _atomic_dump(entry, new_path)
-            old_key = name[: -len(".json")]
-            for suffix in (MANIFEST_SUFFIX, TRACE_SUFFIX, CHECKPOINT_SUFFIX):
-                sib = path.parent / f"{old_key}{suffix}"
-                target = new_path.parent / f"{key}{suffix}"
-                if not sib.exists() or target.exists():
-                    continue
-                if suffix == MANIFEST_SUFFIX:
-                    try:
-                        with open(sib, "r", encoding="utf-8") as fh:
-                            manifest = json.load(fh)
-                        manifest["key"] = key
-                        _atomic_dump(manifest, target)
-                        sib.unlink()
-                        continue
-                    except (OSError, ValueError):
-                        pass  # fall through to a plain rename
-                try:
-                    os.replace(sib, target)
-                except OSError:
-                    pass
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            moved += 1
-        _atomic_dump({"cache_schema": CACHE_SCHEMA}, root / SCHEMA_MARKER)
-    return moved
 
 
 def _atomic_dump(obj: Dict, path: Path) -> None:
@@ -152,24 +69,6 @@ class ResultCache:
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root).expanduser() if root is not None else default_cache_dir()
-        self._ensure_schema()
-
-    def _ensure_schema(self) -> None:
-        """Migrate a pre-content-addressing directory exactly once.
-
-        The marker check is one ``stat`` on the hot path; only a root
-        that exists without a current marker pays the one-shot
-        :func:`migrate_cache` scan.
-        """
-        if not self.root.is_dir():
-            return
-        try:
-            with open(self.root / SCHEMA_MARKER, "r", encoding="utf-8") as fh:
-                if json.load(fh).get("cache_schema") == CACHE_SCHEMA:
-                    return
-        except (OSError, ValueError):
-            pass
-        migrate_cache(self.root)
 
     def path_for(self, spec: JobSpec) -> Path:
         """Cache-entry path for *spec*: ``<root>/<key[:2]>/<key>.json``."""
@@ -232,17 +131,7 @@ class ResultCache:
             "payload": payload,
             "meta": meta or {},
         }
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_dump(entry, path)
         return path
 
     @staticmethod

@@ -16,8 +16,7 @@ the payload layout (or the keying itself) changes incompatibly.
 Historical note: schema 1 additionally salted keys with
 ``repro.__version__``, which quarantined every version bump into a fresh
 cache namespace and defeated cross-sweep dedupe.  Schema 2 dropped the
-salt; :func:`repro.runner.cache.migrate_cache` rehashes old cache
-directories in place, one-shot.
+salt; schema-1 entries sit under other keys, so they simply miss.
 """
 
 from __future__ import annotations

@@ -13,49 +13,36 @@ changing one traffic source's draws does not perturb another's.
 
 Engine backends
 ---------------
-Two interchangeable backends implement the same scheduling contract:
+:class:`ArraySimulator` is the one pure-Python engine: the heap is a
+single flat array of uniform shape-coded tuples — the dominant
+single-argument fire-and-forget event carries its callback and payload
+word inline and dispatches without building or unpacking a varargs
+tuple (see the class docstring for the layout rationale, including why
+the slot-indexed parallel-array variant measured slower).  It also
+exposes :meth:`Simulator.advance_if_clear`, the hook the link layer
+uses to drain back-to-back departures without touching the heap at all.
 
-:class:`LegacySimulator`
-    The original tuple-heap engine: the heap stores
-    ``(time, seq, fn, args, event)`` 5-tuples.  Kept selectable forever as
-    the executable specification the differential suite
-    (``tests/differential``) checks the fast engine against.
-
-:class:`ArraySimulator` (default)
-    A flat-entry engine: the heap is a single flat array of uniform
-    shape-coded tuples — the dominant single-argument fire-and-forget
-    event carries its callback and payload word inline and dispatches
-    without building or unpacking a varargs tuple (see the class
-    docstring for the layout rationale, including why the slot-indexed
-    parallel-array variant measured slower).  It also exposes
-    :meth:`Simulator.advance_if_clear`, the hook the link layer uses to
-    drain back-to-back departures without touching the heap at all.
-    Both backends produce bit-identical event ordering, sequence
-    numbering, and ``events_processed`` counts.
-
-Instantiating :class:`Simulator` directly returns a concrete backend,
-chosen by the ``REPRO_ENGINE`` environment variable (``array`` — the
-default — or ``legacy``), read lazily at construction time so tests can
-flip it per-instance.  When the optional compiled extension is built
-(see :mod:`repro.compiled`), the array family is served by
-:class:`repro.compiled.engine.CompiledSimulator` — the same engine with
-its hot methods in C — unless ``REPRO_COMPILED=0`` pins pure Python.
-Snapshots use a shared canonical state format (the legacy 5-tuple
-list), so a checkpoint captured under one engine restores under any
-other — see :func:`repro.snapshot.restore_bytes`.
+Instantiating :class:`Simulator` directly returns a concrete backend:
+when the optional compiled extension is built (see
+:mod:`repro.compiled`), :class:`repro.compiled.engine.CompiledSimulator`
+— the same engine with its hot methods in C — unless
+``REPRO_COMPILED=0`` pins pure Python; otherwise :class:`ArraySimulator`.
+Snapshots use a canonical state format (a list of
+``(time, seq, fn, args, event)`` 5-tuples), so a checkpoint captured
+under one backend restores under the other — see
+:func:`repro.snapshot.restore_bytes`.
 
 Performance notes
 -----------------
 The event list is the hottest data structure in the whole reproduction —
-every packet hop is at least two heap operations.  Both engines keep the
-comparison key a ``(time, seq, ...)`` tuple prefix: tuple comparison
-happens in C and never reaches the third element (``seq`` is unique),
-which removes the per-comparison Python call that used to dominate
-profiles.  The array engine goes further: single-argument callbacks
-dispatch as a direct ``fn(arg)`` instead of ``fn(*args)``, no
-:class:`Event` handle is allocated unless the caller can cancel, and
-back-to-back link departures bypass the heap entirely via
-:meth:`Simulator.advance_if_clear`.
+every packet hop is at least two heap operations.  The comparison key is
+a ``(time, seq, ...)`` tuple prefix: tuple comparison happens in C and
+never reaches the third element (``seq`` is unique), which removes the
+per-comparison Python call that used to dominate profiles.
+Single-argument callbacks dispatch as a direct ``fn(arg)`` instead of
+``fn(*args)``, no :class:`Event` handle is allocated unless the caller
+can cancel, and back-to-back link departures bypass the heap entirely
+via :meth:`Simulator.advance_if_clear`.
 :meth:`Simulator.schedule`, :meth:`Simulator.schedule_fire` and
 :meth:`Simulator.schedule_at` are deliberately flat (no delegation
 between them) for the same reason.
@@ -64,14 +51,12 @@ between them) for the same reason.
 from __future__ import annotations
 
 import heapq
-import os
 import random
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 __all__ = [
     "Event",
     "Simulator",
-    "LegacySimulator",
     "ArraySimulator",
     "SimulationError",
     "get_engine_class",
@@ -80,8 +65,8 @@ __all__ = [
 _INF = float("inf")
 _NEG_INF = float("-inf")
 
-#: canonical (legacy-format) heap entry: ``(time, seq, fn, args, event)``
-_LegacyEntry = Tuple[float, int, Callable[..., Any], tuple, Optional["Event"]]
+#: canonical snapshot heap entry: ``(time, seq, fn, args, event)``
+_CanonicalEntry = Tuple[float, int, Callable[..., Any], tuple, Optional["Event"]]
 
 #: slots every backend shares and every snapshot carries (``_running`` and
 #: ``profiler`` are process-local and deliberately excluded; the event
@@ -108,7 +93,7 @@ class Event:
     Events order by ``(time, seq)``; ``seq`` is a monotonically
     increasing counter that breaks ties deterministically.  Cancellation is
     lazy: the event is flagged and skipped when popped.  The heap itself
-    never compares :class:`Event` objects (both engines key their heaps on
+    never compares :class:`Event` objects (the engine keys its heap on
     tuples), so ``__lt__`` below exists only for explicit comparisons in
     user code and tests — the hot path never calls it.
     """
@@ -158,11 +143,11 @@ class Simulator:
     """Event-list simulator with deterministic ordering and seeded RNG.
 
     ``Simulator(seed=...)`` is a virtual constructor: it returns an
-    instance of the backend selected by ``REPRO_ENGINE`` (``array`` by
-    default, ``legacy`` for the original tuple-heap engine).  All public
-    behaviour — scheduling, cancellation, run semantics, stream
-    derivation, snapshot state — is identical between backends; only the
-    internal event-list representation differs.
+    instance of the backend :func:`get_engine_class` resolves —
+    :class:`ArraySimulator`, or its compiled subclass when the optional
+    extension is built.  All public behaviour — scheduling,
+    cancellation, run semantics, stream derivation, snapshot state — is
+    identical between the two.
 
     Parameters
     ----------
@@ -270,17 +255,15 @@ class Simulator:
         through the heap: inside :meth:`run` (no ``max_events`` budget, no
         profiler), *time* within the run horizon, and no pending heap
         entry at or before *time* — any heap entry tied at *time* holds an
-        older sequence number and must fire first.  The legacy engine
-        never claims (it always returns ``False``), which keeps it the
-        plain executable specification the differential suite diffs the
-        array engine against.
+        older sequence number and must fire first.  This base
+        implementation never claims.
         """
         return False
 
     # ------------------------------------------------------------------
     # snapshot support
     # ------------------------------------------------------------------
-    def live_entries(self) -> List[_LegacyEntry]:
+    def live_entries(self) -> List[_CanonicalEntry]:
         """Live events as ``(time, seq, fn, args, event)`` 5-tuples.
 
         Engine-neutral view of the event list for snapshot diagnostics and
@@ -291,8 +274,8 @@ class Simulator:
         """
         raise NotImplementedError
 
-    def _export_heap(self) -> List[_LegacyEntry]:
-        """Canonical (legacy-format) event list for ``__getstate__``."""
+    def _export_heap(self) -> List[_CanonicalEntry]:
+        """Canonical event list for ``__getstate__``."""
         raise NotImplementedError
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -307,7 +290,7 @@ class Simulator:
         of producing a snapshot that lies.
 
         The event list is exported under the canonical ``"_heap"`` key as
-        legacy-format 5-tuples regardless of engine, so a snapshot taken
+        canonical 5-tuples regardless of engine, so a snapshot taken
         under one backend restores under the other.  Cancelled-but-unpopped
         entries are purged from the exported copy (the live event list is
         untouched): lazy cancellation means a popped cancelled entry is
@@ -343,168 +326,6 @@ class Simulator:
         return f"<Simulator now={self.now:.6f} pending={self._live}>"
 
 
-class LegacySimulator(Simulator):
-    """The original tuple-heap engine (PR 1–5 behaviour, bit for bit).
-
-    The heap stores ``(time, seq, fn, args, event)`` tuples rather than
-    bare :class:`Event` objects; the ``event`` slot is ``None`` for
-    callbacks scheduled through :meth:`Simulator.schedule_fire`, the
-    fire-and-forget path used by the per-hop link machinery.  This engine
-    never batches (:meth:`advance_if_clear` is a constant ``False``), so
-    every dispatch goes through the heap — which is exactly what makes it
-    the reference implementation for the differential suite.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, seed: int = 1) -> None:
-        super().__init__(seed)
-        self._heap: List[_LegacyEntry] = []
-
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule *fn(*args)* to run *delay* seconds from now.
-
-        *delay* must be finite and non-negative: a ``nan`` or ``inf``
-        delay would silently corrupt heap ordering (``nan`` compares
-        false against everything), so both raise :class:`SimulationError`.
-        """
-        # `not (0 <= delay)` is deliberate: it is the cheapest test that
-        # also catches nan, which fails every comparison.
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(f"bad delay {delay!r}: must be finite and >= 0")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        ev = Event(time, seq, fn, args, sim=self)
-        heapq.heappush(self._heap, (time, seq, fn, args, ev))
-        return ev
-
-    def schedule_fire(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule *fn(*args)* *delay* seconds from now, with no handle.
-
-        Fire-and-forget fast path for callers that never cancel (the
-        per-hop link machinery schedules two of these per packet): no
-        :class:`Event` object is allocated, so there is nothing to
-        cancel.  Ordering semantics are identical to :meth:`schedule` —
-        the callback still consumes a sequence number and fires in
-        schedule order on time ties.
-        """
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(f"bad delay {delay!r}: must be finite and >= 0")
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        heapq.heappush(self._heap, (self.now + delay, seq, fn, args, None))
-
-    def schedule_fire1(self, delay: float, fn: Callable[..., Any], arg: Any) -> None:
-        """Single-argument :meth:`schedule_fire` (the per-packet shape)."""
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(f"bad delay {delay!r}: must be finite and >= 0")
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        heapq.heappush(self._heap, (self.now + delay, seq, fn, (arg,), None))
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule *fn(*args)* at absolute simulation *time*.
-
-        *time* must be finite and not in the past; ``nan``/``inf`` raise
-        :class:`SimulationError` instead of corrupting the event list.
-        """
-        if not self.now <= time < _INF:
-            raise SimulationError(
-                f"bad time {time!r}: must be finite and >= now {self.now!r}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        ev = Event(time, seq, fn, args, sim=self)
-        heapq.heappush(self._heap, (time, seq, fn, args, ev))
-        return ev
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Process events in time order.
-
-        Parameters
-        ----------
-        until:
-            Stop once the next event would fire strictly after this time;
-            ``sim.now`` is left at ``until``.  ``None`` runs to exhaustion.
-        max_events:
-            Safety valve for tests; stop after this many events.
-        """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        processed = 0
-        profiler = self.profiler
-        heap = self._heap
-        heappop = heapq.heappop
-        horizon = until if until is not None else _INF
-        budget = max_events if max_events is not None else -1
-        try:
-            # Pop-first rather than peek-then-pop: the horizon is crossed
-            # at most once per run() call, so pushing that single event
-            # back is far cheaper than indexing heap[0] on every loop.
-            while heap:
-                entry = heappop(heap)
-                ev = entry[4]
-                if ev is not None and ev.cancelled:
-                    continue
-                time = entry[0]
-                if time > horizon:
-                    heapq.heappush(heap, entry)
-                    break
-                self.now = time
-                self._live -= 1
-                if ev is not None:
-                    ev.fired = True
-                if profiler is None:
-                    entry[2](*entry[3])
-                else:
-                    profiler.dispatch(entry[2], entry[3])
-                processed += 1
-                if processed == budget:
-                    break
-            if until is not None and self.now < until:
-                self.now = until
-        finally:
-            self._running = False
-            # Batched outside the loop: callbacks never observe this
-            # counter mid-run, only harness code reads it afterwards.
-            self.events_processed += processed
-
-    # ------------------------------------------------------------------
-    # snapshot support
-    # ------------------------------------------------------------------
-    def live_entries(self) -> List[_LegacyEntry]:
-        return [e for e in self._heap if e[4] is None or not e[4].cancelled]
-
-    def _export_heap(self) -> List[_LegacyEntry]:
-        live = self.live_entries()
-        if len(live) == len(self._heap):
-            return self._heap
-        heapq.heapify(live)
-        return live
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self._restore_shared(state)
-        heap = list(state["_heap"])
-        # Re-heapify defensively: the canonical export is already a valid
-        # heap, but an array-engine export interleaved with purges (or a
-        # hand-edited snapshot) might not be, and pop order depends only
-        # on the key multiset.
-        heapq.heapify(heap)
-        self._heap = heap
-
-
 class ArraySimulator(Simulator):
     """Flat-entry event engine with inline departure batching.
 
@@ -520,8 +341,8 @@ class ArraySimulator(Simulator):
         ticks.  Dispatches as a direct ``fn(arg)``.
     ``(time, seq, fn, args, event)``
         Cancellable (:meth:`schedule` / :meth:`schedule_at`) and
-        variable-arity events, bit-compatible with the legacy engine's
-        entries; ``event`` is ``None`` for multi-argument
+        variable-arity events, already in the canonical snapshot
+        shape; ``event`` is ``None`` for multi-argument
         :meth:`schedule_fire` callbacks.
 
     ``seq`` is globally unique, so tuple comparison never reaches the
@@ -531,12 +352,13 @@ class ArraySimulator(Simulator):
     Why not a slot-indexed payload table?  The textbook flat-array design
     — heap entries ``(time, seq, slot)`` indexing preallocated parallel
     ``fns``/``argv`` arrays with a free-list — was implemented and
-    benchmarked first: it ran ~7% *slower* end to end than the legacy
-    tuple heap on CPython 3.11, because two indexed list stores, two
-    indexed loads, and the free-list push/pop per event cost more than
-    the one small tuple allocation they avoid (CPython recycles tuples
-    from a freelist, and the specializing interpreter has already
-    flattened the ``fn(*args)`` dispatch the design was meant to bypass).
+    benchmarked first: it ran ~7% *slower* end to end than a plain
+    ``(time, seq, fn, args, event)`` tuple heap on CPython 3.11, because
+    two indexed list stores, two indexed loads, and the free-list
+    push/pop per event cost more than the one small tuple allocation
+    they avoid (CPython recycles tuples from a freelist, and the
+    specializing interpreter has already flattened the ``fn(*args)``
+    dispatch the design was meant to bypass).
     Carrying the payload word inline keeps the engine allocation-flat
     *and* bookkeeping-free; the payload "arrays" and the heap are one and
     the same.
@@ -548,8 +370,8 @@ class ArraySimulator(Simulator):
     departures inline — zero heap traffic, no run-loop iteration —
     whenever doing so is provably identical to scheduling through the
     heap.  The claim rules live in the base-class docstring; inline
-    dispatches are counted into ``events_processed`` so the total stays
-    bit-identical to the legacy engine's.
+    dispatches are counted into ``events_processed`` so the total equals
+    the number of callbacks a heap-only dispatch would have run.
     """
 
     __slots__ = ("_heap", "_horizon", "_ninline")
@@ -725,8 +547,8 @@ class ArraySimulator(Simulator):
     # ------------------------------------------------------------------
     # snapshot support
     # ------------------------------------------------------------------
-    def live_entries(self) -> List[_LegacyEntry]:
-        out: List[_LegacyEntry] = []
+    def live_entries(self) -> List[_CanonicalEntry]:
+        out: List[_CanonicalEntry] = []
         for entry in self._heap:
             if len(entry) == 4:
                 out.append((entry[0], entry[1], entry[2], (entry[3],), None))
@@ -734,7 +556,7 @@ class ArraySimulator(Simulator):
                 out.append(entry)
         return out
 
-    def _export_heap(self) -> List[_LegacyEntry]:
+    def _export_heap(self) -> List[_CanonicalEntry]:
         live = self.live_entries()
         if len(live) != len(self._heap):
             heapq.heapify(live)
@@ -760,61 +582,32 @@ class ArraySimulator(Simulator):
         self._heap = heap
 
 
-#: recognised ``REPRO_ENGINE`` spellings → concrete class
-_ENGINE_ALIASES = {
-    "array": "ArraySimulator",
-    "v2": "ArraySimulator",
-    "": "ArraySimulator",  # unset/empty → default
-    "legacy": "LegacySimulator",
-    "tuple": "LegacySimulator",
-    "v1": "LegacySimulator",
-    "compiled": "CompiledSimulator",
-    "cext": "CompiledSimulator",
-}
-
-
 def get_engine_class(name: Optional[str] = None) -> type:
     """Resolve an engine name to its :class:`Simulator` subclass.
 
-    With ``name=None`` the ``REPRO_ENGINE`` environment variable decides
-    (read lazily on every call, so tests can flip it between
-    instantiations); unset or empty selects the array engine family.
-
-    Two orthogonal knobs compose here: ``REPRO_ENGINE`` picks the engine
-    *family* (array vs legacy), and ``REPRO_COMPILED`` picks the array
-    family's *implementation* (the optional compiled extension vs pure
-    Python — see :mod:`repro.compiled`).  When the array family is
-    selected and a compiled engine is active, the compiled class is
-    returned; the legacy engine is always pure Python.  Spelling
-    ``REPRO_ENGINE=compiled`` *requires* the compiled engine and raises
-    :class:`SimulationError` when no extension is built — use it when a
-    silent fallback would invalidate a measurement.
+    With ``name=None`` (what ``Simulator()`` uses) the compiled engine
+    serves when its extension is built and ``REPRO_COMPILED`` does not
+    pin pure Python (see :mod:`repro.compiled`); otherwise the pure
+    :class:`ArraySimulator` does.  Explicit names select exactly one
+    backend: ``"array"`` is always the pure engine, and ``"compiled"``
+    *requires* the extension, raising :class:`SimulationError` when it
+    is not built or is disabled — use it when a silent fallback would
+    invalidate a measurement.
     """
+    from ..compiled import engine_class
+
     if name is None:
-        name = os.environ.get("REPRO_ENGINE", "")
+        return engine_class() or ArraySimulator
     key = name.strip().lower()
-    cls_name = _ENGINE_ALIASES.get(key)
-    if cls_name is None:
-        raise SimulationError(
-            f"unknown engine {name!r} (REPRO_ENGINE): use 'array', 'legacy' "
-            f"or 'compiled'"
-        )
-    if cls_name == "ArraySimulator":
-        from ..compiled import engine_class as _compiled_engine_class
-
-        compiled = _compiled_engine_class()
-        if compiled is not None:
-            return compiled
+    if key == "array":
         return ArraySimulator
-    if cls_name == "CompiledSimulator":
-        from ..compiled import engine_class as _compiled_engine_class
-
-        compiled = _compiled_engine_class()
-        if compiled is None:
-            raise SimulationError(
-                f"engine {name!r} (REPRO_ENGINE) requires the compiled "
-                f"extension, which is not built or is disabled by "
-                f"REPRO_COMPILED=0; build it with: python -m repro.compiled.build"
-            )
-        return compiled
-    return globals()[cls_name]
+    if key != "compiled":
+        raise SimulationError(f"unknown engine {name!r}: use 'array' or 'compiled'")
+    compiled = engine_class()
+    if compiled is None:
+        raise SimulationError(
+            "engine 'compiled' requires the compiled extension, which is not "
+            "built or is disabled by REPRO_COMPILED=0; build it with: "
+            "python -m repro.compiled.build"
+        )
+    return compiled

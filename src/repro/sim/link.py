@@ -118,9 +118,8 @@ class Link:
         common case whenever the bottleneck drains a standing queue.  The
         virtual-time trace (times, sequence numbers, dequeue instants,
         observability hooks) is bit-identical to scheduling every
-        departure through the heap; under the legacy engine the claim
-        always fails and every departure is a real event, exactly as
-        before.
+        departure through the heap; when the claim fails (a budgeted or
+        profiled run) every departure is a real heap event.
         """
         sim = self.sim
         qdisc = self.qdisc

@@ -1,8 +1,8 @@
 """Queue disciplines: DropTail, RED (gentle/adaptive, ECN), PI and REM AQM.
 
-Construct disciplines through :func:`make_queue` with a
-:class:`QueueConfig`; the per-class constructors remain as deprecated
-shims (one :class:`DeprecationWarning` per class).
+Construct disciplines with their class constructors; :func:`make_queue`
+with a :class:`QueueConfig` is the name-keyed, validating front door for
+serialised configs.
 """
 
 from .base import QueueDiscipline, QueueStats

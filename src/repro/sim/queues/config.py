@@ -1,10 +1,10 @@
 """Unified queue-discipline construction: ``QueueConfig`` + ``make_queue``.
 
-Historically every discipline had its own keyword constructor with
-slightly different conventions (``RedQueue`` takes ``rng`` but not
-``sim``; ``PiQueue``/``RemQueue`` take both; ``DropTailQueue`` takes
-neither), so call sites had to special-case each class.  This module
-replaces that with one declarative shape:
+Every discipline has its own keyword constructor with slightly
+different conventions (``RedQueue`` takes ``rng`` but not ``sim``;
+``PiQueue``/``RemQueue`` take both; ``DropTailQueue`` takes neither),
+so code that builds a discipline *by name* would have to special-case
+each class.  This module gives such callers one declarative shape:
 
 >>> cfg = QueueConfig("red", capacity_pkts=120,
 ...                   params=dict(min_th=10, max_th=30, adaptive=True))
@@ -14,16 +14,17 @@ replaces that with one declarative shape:
 
 * a seeded RNG is derived from *sim* when the discipline needs one and
   no explicit ``rng`` is given, claiming the same per-discipline stream
-  labels (``"red"``, ``"pi"``, ``"rem"``, with ``unique=True``) the old
-  hand-rolled factories used — fixed-seed runs are bit-identical across
-  the old and new construction paths;
+  labels (``"red"``, ``"pi"``, ``"rem"``, with ``unique=True``) that
+  direct construction with ``sim.stream(label, unique=True)`` claims —
+  fixed-seed runs are bit-identical either way;
 * *sim* is forwarded to disciplines that self-schedule periodic work
   (PI's and REM's controller ticks);
 * unknown disciplines and parameters are rejected eagerly, at
   :class:`QueueConfig` construction time, with the valid names listed.
 
-Direct constructor calls (``RedQueue(...)``) still work but emit one
-:class:`DeprecationWarning` per class per process.
+The class constructors (``RedQueue(...)``) are the one construction
+path; ``make_queue`` is the name-keyed, validating front door for
+serialised configs and calls them.
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Type
 
 from ..engine import Simulator
-from . import base
 from .base import QueueDiscipline
 from .droptail import DropTailQueue
 from .pi import PiQueue
 from .red import RedQueue
 from .rem import RemQueue
 
-__all__ = ["QueueConfig", "make_queue", "DISCIPLINES", "reset_legacy_warnings"]
+__all__ = ["QueueConfig", "make_queue", "DISCIPLINES"]
 
 #: discipline name -> implementing class
 DISCIPLINES: Dict[str, Type[QueueDiscipline]] = {
@@ -53,16 +53,9 @@ DISCIPLINES: Dict[str, Type[QueueDiscipline]] = {
 }
 
 #: RNG stream label claimed (``unique=True``) when deriving the stream
-#: from ``sim`` — must match the labels the legacy experiment factories
-#: used, or fixed-seed goldens would shift.
+#: from ``sim`` — must match the labels the experiment factories have
+#: always claimed, or fixed-seed goldens would shift.
 _STREAM_LABELS = {"red": "red", "pi": "pi", "rem": "rem"}
-
-# Register the concrete classes so QueueDiscipline.__init__ warns on
-# direct construction (make_queue suppresses the warning for itself).
-for _cls in DISCIPLINES.values():
-    base._LEGACY_SHIMMED.add(_cls)
-del _cls
-
 
 def _allowed_params(cls: Type[QueueDiscipline]) -> Dict[str, inspect.Parameter]:
     """Constructor keywords settable through ``QueueConfig.params``."""
@@ -152,10 +145,4 @@ def make_queue(
             kwargs["rng"] = rng
     if "sim" in sig and sim is not None:
         kwargs["sim"] = sim
-    with base._factory_construction():
-        return cls(config.capacity_pkts, **kwargs)
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which classes have warned (for tests of the shims)."""
-    base._LEGACY_WARNED.clear()
+    return cls(config.capacity_pkts, **kwargs)

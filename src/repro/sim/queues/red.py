@@ -79,6 +79,10 @@ class RedQueue(QueueDiscipline):
             raise ValueError("need 0 < min_th < max_th")
         if not 0 < max_p <= 1:
             raise ValueError("max_p must be in (0, 1]")
+        if w_q is not None and not 0 < w_q <= 1:
+            raise ValueError("w_q must be in (0, 1]")
+        if not 0 < mean_pkt_time < math.inf:
+            raise ValueError("mean_pkt_time must be positive and finite")
         self.min_th = min_th
         self.max_th = max_th
         self.max_p = max_p
@@ -90,8 +94,7 @@ class RedQueue(QueueDiscipline):
         if w_q is None:
             # Adaptive RED auto-configuration: average over ~10 * 1/C.
             rate = 1.0 / mean_pkt_time
-            w_q = 1.0 - math.exp(-1.0 / (10.0 * rate)) if rate > 0 else 0.002
-            w_q = max(w_q, 1e-6)
+            w_q = max(1.0 - math.exp(-1.0 / (10.0 * rate)), 1e-6)
         self.w_q = w_q
         #: Floyd's "byte mode": marking probability scaled by packet size
         #: relative to *mean_pkt_size*, so big packets are marked

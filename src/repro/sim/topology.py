@@ -15,19 +15,18 @@ name topologies declaratively:
 ...                    bottleneck_bw=8e6, bottleneck_delay=0.01,
 ...                    qdisc_fwd=qdisc)
 
-The historical :func:`build_dumbbell`/:func:`build_parking_lot` wrappers
-remain as thin shims that emit one :class:`DeprecationWarning` each per
-process.  Every topology owns a :class:`Network`, which keeps the
-simulator's node table and computes static shortest-path (hop-count)
-routes.
+Calling the class constructors (``Dumbbell(sim, ...)``) directly is
+equally canonical; the registry is the name-keyed, validating front
+door for serialised configs.  Every topology owns a :class:`Network`,
+which keeps the simulator's node table and computes static
+shortest-path (hop-count) routes.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
 from collections import deque
-from typing import Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from .engine import Simulator
 from .link import Link
@@ -41,9 +40,6 @@ __all__ = [
     "ParkingLot",
     "TOPOLOGIES",
     "make_topology",
-    "build_dumbbell",
-    "build_parking_lot",
-    "reset_builder_warnings",
 ]
 
 QdiscFactory = Callable[[], QueueDiscipline]
@@ -211,9 +207,6 @@ TOPOLOGIES: Dict[str, Type] = {
     "parking_lot": ParkingLot,
 }
 
-#: deprecated builder names that have already warned this process
-_BUILDER_WARNED: Set[str] = set()
-
 
 def _allowed_topology_params(cls: Type) -> Dict[str, inspect.Parameter]:
     """Constructor keywords settable through :func:`make_topology`."""
@@ -242,32 +235,3 @@ def make_topology(name: str, sim: Simulator, **kwargs):
             f"valid: {sorted(allowed)}"
         )
     return cls(sim, **kwargs)
-
-
-def _warn_builder(old: str, name: str) -> None:
-    """Once-per-process deprecation notice for the legacy builders."""
-    if old in _BUILDER_WARNED:
-        return
-    _BUILDER_WARNED.add(old)
-    warnings.warn(
-        f"{old}() is deprecated; use make_topology({name!r}, sim, ...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_builder_warnings() -> None:
-    """Forget which legacy builders have warned (for tests of the shims)."""
-    _BUILDER_WARNED.clear()
-
-
-def build_dumbbell(sim: Simulator, **kwargs) -> Dumbbell:
-    """Deprecated: use ``make_topology("dumbbell", sim, **kwargs)``."""
-    _warn_builder("build_dumbbell", "dumbbell")
-    return make_topology("dumbbell", sim, **kwargs)
-
-
-def build_parking_lot(sim: Simulator, **kwargs) -> ParkingLot:
-    """Deprecated: use ``make_topology("parking_lot", sim, **kwargs)``."""
-    _warn_builder("build_parking_lot", "parking_lot")
-    return make_topology("parking_lot", sim, **kwargs)

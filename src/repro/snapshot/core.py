@@ -167,17 +167,14 @@ def _diagnose_failure(sim: Simulator, state: Any, exc: Exception) -> SnapshotErr
 #: engine classes a snapshot may reference; remapped on cross-engine restore
 _ENGINE_CLASS_NAMES = (
     "Simulator",
-    "LegacySimulator",
     "ArraySimulator",
     "CompiledSimulator",
 )
 
-#: modules those classes may live in (the compiled package ships the
-#: same engine contract under its own module names — see repro.compiled)
+#: modules those classes may live in
 _ENGINE_MODULES = (
     "repro.sim.engine",
     "repro.compiled.engine",
-    "repro.compiled._compiled_engine",
 )
 
 
@@ -185,8 +182,8 @@ class _EngineRemapUnpickler(pickle.Unpickler):
     """Unpickler that rebinds the simulator class to a chosen engine.
 
     Snapshots pickle the concrete engine class by reference, so a body
-    captured under one ``REPRO_ENGINE`` would normally restore under the
-    same backend.  Both engines share one canonical state format (see
+    captured under one backend would normally restore under the same
+    backend.  Both engines share one canonical state format (see
     ``Simulator.__getstate__``), which makes the class substitutable at
     load time: the target engine's ``__setstate__`` rebuilds its own
     internal event-list representation from the shared state.
@@ -205,7 +202,7 @@ class _EngineRemapUnpickler(pickle.Unpickler):
 def restore_bytes(body: bytes, *, engine: Optional[str] = None) -> Tuple[Simulator, Any]:
     """Unpickle a snapshot body; returns ``(sim, state)``.
 
-    *engine* (``"array"`` / ``"legacy"`` / ``"compiled"``) restores the
+    *engine* (``"array"`` / ``"compiled"``) restores the
     simulator under that backend regardless of which one captured the
     snapshot; ``None`` keeps the capturing engine's class.  A snapshot
     captured under the compiled engine restores with ``engine=None`` in

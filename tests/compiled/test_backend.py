@@ -45,7 +45,6 @@ KW = dict(bandwidth=3e6, rtt=0.04, n_fwd=3, duration=2.5, warmup=1.0, seed=3)
 @pytest.fixture(autouse=True)
 def _fresh_probe(monkeypatch):
     """Isolate each test's probe cache and warning latches."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     monkeypatch.delenv("REPRO_COMPILED", raising=False)
     reset()
     yield
@@ -53,7 +52,7 @@ def _fresh_probe(monkeypatch):
 
 
 def _force_import_failure(monkeypatch, exc):
-    """Make every tier's import raise *exc* (the broken/missing seam)."""
+    """Make the extension's import raise *exc* (the broken/missing seam)."""
 
     def _fail(modname):
         raise exc
@@ -169,7 +168,6 @@ else:
 def _child(mode, path, env_overrides):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_ENGINE", None)
     env.pop("REPRO_COMPILED", None)
     env.update(env_overrides)
     proc = subprocess.run(

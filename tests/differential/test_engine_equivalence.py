@@ -1,10 +1,9 @@
-"""Differential testing: all engine backends must agree bit for bit.
+"""Differential testing: the array and compiled engines agree bit for bit.
 
 Every sender scheme in the registry — together spanning all four queue
-disciplines (droptail, RED, PI, REM) — runs through the legacy
-reference engine, the pure-Python array engine, and (when the optional
-extension is built — see :mod:`repro.compiled`) the compiled engine.
-The comparison covers three layers:
+disciplines (droptail, RED, PI, REM) — runs through the pure-Python
+array engine and the compiled engine (see :mod:`repro.compiled`).  The
+comparison covers three layers:
 
 * the packet-event stream (every enqueue/drop/mark/sample trace record,
   with timestamps, flow ids, sequence numbers and queue lengths),
@@ -12,6 +11,11 @@ The comparison covers three layers:
   utilization, Jain index, mean queue),
 * snapshot round-trips across engines (capture under one backend,
   restore under the other, continue, same result).
+
+The comparisons need both engines, so they skip — with the reason
+stated — in a checkout where the extension is not built; the array
+engine's standing oracles there are the determinism goldens and the
+hypothesis engine properties.
 
 Tier selection mirrors the validate suite: the quick tier (default, CI)
 runs one scheme per queue discipline on a small workload; set
@@ -32,17 +36,19 @@ from repro.experiments.common import (
     warm_dumbbell_bytes,
 )
 from repro.obs import Collector
-from repro.sim.engine import ArraySimulator, LegacySimulator, get_engine_class
+from repro.sim.engine import ArraySimulator, get_engine_class
 from repro.snapshot import restore_bytes
 
 FULL = os.environ.get("REPRO_DIFF_FULL", "") not in ("", "0")
 
-#: is a compiled-engine artifact importable in this checkout?
+#: is the compiled extension importable in this checkout?
 COMPILED_AVAILABLE = compiled_status().available
 
-#: the engines under differential comparison; "array" is pinned to pure
-#: Python via REPRO_COMPILED=0 so the compiled engine never hides it
-FAST_ENGINES = ("array", "compiled") if COMPILED_AVAILABLE else ("array",)
+needs_compiled = pytest.mark.skipif(
+    not COMPILED_AVAILABLE,
+    reason="compiled extension not built (python -m repro.compiled.build): "
+           "no second engine to compare the array engine against",
+)
 
 #: scheme -> bottleneck queue discipline it exercises
 SCHEME_DISCIPLINE = {
@@ -71,13 +77,10 @@ KW = FULL_KW if FULL else QUICK_KW
 
 
 def _set_engine_env(monkeypatch, engine):
-    """Pin both engine knobs so *engine* means exactly one backend."""
+    """Pin ``REPRO_COMPILED`` so ``Simulator()`` is exactly *engine*."""
     if engine == "array":
-        # pure array: the compiled engine must not transparently serve it
-        monkeypatch.setenv("REPRO_ENGINE", "array")
         monkeypatch.setenv("REPRO_COMPILED", "0")
     else:
-        monkeypatch.setenv("REPRO_ENGINE", engine)
         monkeypatch.delenv("REPRO_COMPILED", raising=False)
 
 
@@ -114,28 +117,29 @@ def _queue_stat_tuple(result):
             stats.bytes_out)
 
 
-@pytest.mark.parametrize("engine", FAST_ENGINES)
+@needs_compiled
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_engines_agree(scheme, engine, monkeypatch):
+def test_engines_agree(scheme, monkeypatch):
     """Event stream, queue stats and figure metrics match across engines."""
-    legacy, legacy_records = _run_with_engine("legacy", scheme, monkeypatch)
-    fast, fast_records = _run_with_engine(engine, scheme, monkeypatch)
+    array, array_records = _run_with_engine("array", scheme, monkeypatch)
+    compiled, compiled_records = _run_with_engine("compiled", scheme,
+                                                  monkeypatch)
 
-    assert _metric_tuple(legacy) == _metric_tuple(fast)
-    assert _queue_stat_tuple(legacy) == _queue_stat_tuple(fast)
+    assert _metric_tuple(array) == _metric_tuple(compiled)
+    assert _queue_stat_tuple(array) == _queue_stat_tuple(compiled)
 
     # full packet-event stream: enqueues, drops, marks and periodic
     # samples, in order, with identical timestamps and queue lengths
-    assert len(legacy_records) == len(fast_records)
-    for i, (a, b) in enumerate(zip(legacy_records, fast_records)):
+    assert len(array_records) == len(compiled_records)
+    for i, (a, b) in enumerate(zip(array_records, compiled_records)):
         assert a == b, f"{scheme}: trace record {i} diverged: {a} vs {b}"
 
     # drop/mark subsequences called out explicitly (the signals AQM
     # correctness hangs off) — redundant with the full diff above, but
     # a much sharper failure message when something drifts
     for kind in ("drop", "mark"):
-        seq_a = [r for r in legacy_records if r["type"] == kind]
-        seq_b = [r for r in fast_records if r["type"] == kind]
+        seq_a = [r for r in array_records if r["type"] == kind]
+        seq_b = [r for r in compiled_records if r["type"] == kind]
         assert seq_a == seq_b
 
 
@@ -147,17 +151,9 @@ def test_tracing_does_not_perturb(scheme, monkeypatch):
     assert _metric_tuple(traced) == _metric_tuple(bare)
 
 
-_SNAPSHOT_PAIRS = [("legacy", "array"), ("array", "legacy")]
-if COMPILED_AVAILABLE:
-    _SNAPSHOT_PAIRS += [
-        ("compiled", "legacy"),
-        ("legacy", "compiled"),
-        ("compiled", "array"),
-        ("array", "compiled"),
-    ]
-
-
-@pytest.mark.parametrize("capture_engine,restore_engine", _SNAPSHOT_PAIRS)
+@needs_compiled
+@pytest.mark.parametrize("capture_engine,restore_engine",
+                         [("compiled", "array"), ("array", "compiled")])
 def test_cross_engine_snapshot_roundtrip(capture_engine, restore_engine,
                                          monkeypatch):
     """Warm under one engine, restore under the other, finish identically."""
@@ -187,31 +183,27 @@ def _dumbbell_result_after_measure(state):
 
 
 def test_engine_selection_knob(monkeypatch):
-    """REPRO_ENGINE aliases resolve as documented; unknowns fail loudly."""
+    """Engine names resolve exactly; unknown names fail loudly."""
     from repro.sim.engine import SimulationError, Simulator
 
-    # REPRO_COMPILED=0 pins pure Python, so the alias table is exact
+    # REPRO_COMPILED=0 pins pure Python, so the resolution is exact
     # regardless of whether an extension is built in this checkout
     monkeypatch.setenv("REPRO_COMPILED", "0")
-    for name, cls in [("legacy", LegacySimulator), ("v1", LegacySimulator),
-                      ("array", ArraySimulator), ("v2", ArraySimulator),
-                      ("", ArraySimulator)]:
-        monkeypatch.setenv("REPRO_ENGINE", name)
-        assert get_engine_class() is cls
-        assert type(Simulator(seed=0)) is cls
+    assert get_engine_class() is ArraySimulator
+    assert get_engine_class("array") is ArraySimulator
+    assert type(Simulator(seed=0)) is ArraySimulator
     # requiring the compiled engine while REPRO_COMPILED=0 disables it
     # must fail loudly, not silently hand back pure Python
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
     with pytest.raises(SimulationError):
-        get_engine_class()
-    monkeypatch.setenv("REPRO_ENGINE", "simd")
-    with pytest.raises(SimulationError):
-        get_engine_class()
+        get_engine_class("compiled")
+    for unknown in ("legacy", "simd"):
+        with pytest.raises(SimulationError, match="unknown engine"):
+            get_engine_class(unknown)
 
 
-@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled engine not built")
+@needs_compiled
 def test_engine_selection_knob_compiled(monkeypatch):
-    """With an extension built, the array family is served compiled."""
+    """With the extension built, the default engine is the compiled one."""
     from repro.compiled import engine_class
     from repro.sim.engine import Simulator
 
@@ -219,11 +211,8 @@ def test_engine_selection_knob_compiled(monkeypatch):
     compiled_cls = engine_class()
     assert compiled_cls is not None
     assert issubclass(compiled_cls, ArraySimulator)
-    for name in ("", "array", "v2", "compiled", "cext"):
-        monkeypatch.setenv("REPRO_ENGINE", name)
-        assert get_engine_class() is compiled_cls
-    monkeypatch.setenv("REPRO_ENGINE", "")
+    assert get_engine_class() is compiled_cls
+    assert get_engine_class("compiled") is compiled_cls
     assert type(Simulator(seed=0)) is compiled_cls
-    # legacy stays pure no matter what
-    monkeypatch.setenv("REPRO_ENGINE", "legacy")
-    assert get_engine_class() is LegacySimulator
+    # an explicit "array" stays pure no matter what is built
+    assert get_engine_class("array") is ArraySimulator

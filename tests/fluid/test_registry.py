@@ -1,6 +1,4 @@
-"""Fluid-model registry: factory round-trips and legacy-shim warnings."""
-
-import warnings
+"""Fluid-model registry: factory round-trips and parameter validation."""
 
 import pytest
 
@@ -9,18 +7,7 @@ from repro.fluid import (
     FluidModel,
     fluid_model_params,
     make_fluid_model,
-    reset_legacy_warnings,
 )
-from repro.fluid.pert_pi import PertPiFluidModel
-from repro.fluid.pert_red import PertRedFluidModel
-from repro.fluid.tcp_red import TcpRedFluidModel
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    reset_legacy_warnings()
-    yield
-    reset_legacy_warnings()
 
 
 @pytest.mark.parametrize("name", sorted(FLUID_MODELS))
@@ -53,33 +40,14 @@ def test_fluid_model_params_lists_constructor_fields():
     assert {"capacity", "n_flows", "rtt", "t_min", "t_max"} <= set(params)
 
 
-@pytest.mark.parametrize("cls", [PertRedFluidModel, TcpRedFluidModel,
-                                 PertPiFluidModel])
-def test_direct_construction_warns_once_per_class(cls):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cls()
-        cls()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "make_fluid_model" in str(deprecations[0].message)
-
-
-def test_factory_construction_does_not_warn():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        make_fluid_model("pert_red")
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-
-
-def test_reset_rearms_the_warning():
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("always")
-        PertRedFluidModel()
-    reset_legacy_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        PertRedFluidModel()
-    assert [w for w in caught if issubclass(w.category, DeprecationWarning)]
+@pytest.mark.parametrize("params, match", [
+    (dict(delta=0.0), "delta"),
+    (dict(delta=-1e-4), "delta"),
+    (dict(delta=float("inf")), "delta"),
+    (dict(p_max=0.0), "p_max"),
+    (dict(p_max=-0.1), "p_max"),
+    (dict(p_max=1.5), "p_max"),
+])
+def test_pert_red_rejects_bad_values(params, match):
+    with pytest.raises(ValueError, match=match):
+        make_fluid_model("pert_red", **params)

@@ -17,8 +17,8 @@ Escape hatches:
   noisy for wall-clock assertions, so CI sets this and tracks perf via
   the ``bench-smoke`` job instead;
 * a baseline written by a different engine backend (the ``engine`` key)
-  or a different compiled tier (the ``compiled`` key — cext vs mypyc vs
-  pure Python) skips rather than comparing apples to oranges.
+  or a different compiled tier (the ``compiled`` key — cext vs pure
+  Python) skips rather than comparing apples to oranges.
 """
 
 import json

@@ -1,12 +1,12 @@
-"""Hypothesis properties of the event-engine contract, on all backends.
+"""Hypothesis properties of the event-engine contract, on every backend.
 
-Each property is parametrized over :class:`LegacySimulator`,
-:class:`ArraySimulator` and — when the optional extension is built (see
-:mod:`repro.compiled`) — :class:`CompiledSimulator` (constructed
-directly, so the suite is independent of ``REPRO_ENGINE``), and one
+Each property is parametrized over :class:`ArraySimulator` and — when
+the optional extension is built (see :mod:`repro.compiled`) —
+:class:`CompiledSimulator`, both constructed directly.  One
 cross-engine property runs the same randomized schedule through both
-pure backends and demands identical dispatch sequences — the randomized
-counterpart of the scenario-level suite in ``tests/differential``.
+and demands identical dispatch sequences — the randomized counterpart
+of the scenario-level suite in ``tests/differential``; it skips, with
+the reason stated, when the extension is not built.
 """
 
 import pickle
@@ -16,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiled import status as _compiled_status
-from repro.sim.engine import ArraySimulator, LegacySimulator
+from repro.sim.engine import ArraySimulator
 
-ENGINES = [LegacySimulator, ArraySimulator]
-if _compiled_status().available:
+COMPILED_AVAILABLE = _compiled_status().available
+
+ENGINES = [ArraySimulator]
+if COMPILED_AVAILABLE:
     from repro.compiled.engine import CompiledSimulator
 
     ENGINES.append(CompiledSimulator)
@@ -144,9 +146,14 @@ def test_snapshot_roundtrip_under_random_schedule(engine, delays, split):
     assert sim_c._seq == sim_r._seq
 
 
+@pytest.mark.skipif(
+    not COMPILED_AVAILABLE,
+    reason="compiled extension not built (python -m repro.compiled.build): "
+           "no second engine to compare the array engine against",
+)
 @given(delays=delay_lists, data=st.data())
 @settings(max_examples=50)
-def test_engines_dispatch_identically(delays, data):
+def test_array_and_compiled_dispatch_identically(delays, data):
     """Same randomized schedule + cancels → identical dispatch on both."""
     doomed = data.draw(st.sets(st.integers(0, len(delays) - 1)))
 
@@ -161,4 +168,4 @@ def test_engines_dispatch_identically(delays, data):
         sim.run()
         return rec.hits, sim.events_processed, sim.now, sim._seq
 
-    assert run(LegacySimulator) == run(ArraySimulator)
+    assert run(ArraySimulator) == run(CompiledSimulator)

@@ -1,13 +1,16 @@
 """Unit tests: job specs, cache keys, and the on-disk result cache."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.runner import (
+    CACHE_SCHEMA,
     JobSpec,
     ResultCache,
     canonical_json,
+    content_key,
     dumbbell_spec,
     resolve_cache,
     resolve_workers,
@@ -48,6 +51,15 @@ def test_canonical_json_is_stable():
     assert canonical_json({"b": 1, "a": [1.5, 2]}) == '{"a":[1.5,2],"b":1}'
 
 
+def test_content_key_is_version_free():
+    """Schema 2's whole point: the same content, the same key, forever."""
+    key = content_key("dumbbell", {"scheme": "pert", "x": 1})
+    assert key == JobSpec("dumbbell", {"x": 1, "scheme": "pert"}).cache_key
+    material = f"{CACHE_SCHEMA}|dumbbell|" + canonical_json(
+        {"scheme": "pert", "x": 1})
+    assert key == hashlib.sha256(material.encode()).hexdigest()
+
+
 # ----------------------------------------------------------------------
 # on-disk cache behaviour
 # ----------------------------------------------------------------------
@@ -81,6 +93,24 @@ def test_cache_key_mismatch_is_a_miss(tmp_path):
     entry["key"] = "0" * 64
     path.write_text(json.dumps(entry))
     assert cache.get(spec) is None
+
+
+def test_schema1_entry_is_a_miss(tmp_path):
+    """A version-salted schema-1 entry sits under another key: it misses."""
+    spec = dumbbell_spec("pert", bandwidth=4e6)
+    material = f"1|0.9.0|{spec.kind}|{canonical_json(spec.params)}"
+    old_key = hashlib.sha256(material.encode()).hexdigest()
+    old_path = tmp_path / old_key[:2] / f"{old_key}.json"
+    old_path.parent.mkdir(parents=True)
+    old_path.write_text(json.dumps({
+        "key": old_key, "kind": spec.kind, "params": spec.params,
+        "payload": {"v": "stale"}, "meta": {},
+    }))
+    cache = ResultCache(tmp_path)
+    assert cache.get(spec) is None
+    cache.put(spec, {"v": "fresh"})
+    assert cache.get(spec)["payload"] == {"v": "fresh"}
+    assert old_path.exists()  # inert: never served, never rewritten
 
 
 def test_resolve_cache_modes(tmp_path, monkeypatch):

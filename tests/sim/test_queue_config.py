@@ -1,7 +1,6 @@
 """QueueConfig / make_queue: the unified queue construction API."""
 
 import random
-import warnings
 
 import pytest
 
@@ -11,12 +10,10 @@ from repro.sim.queues import (
     DropTailQueue,
     PiQueue,
     QueueConfig,
-    QueueDiscipline,
     RedQueue,
     RemQueue,
     make_queue,
 )
-from repro.sim.queues.config import reset_legacy_warnings
 
 
 class TestRoundTrip:
@@ -86,6 +83,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="capacity_bytes"):
             QueueConfig("pi", capacity_bytes=9000)
 
+    @pytest.mark.parametrize("params, match", [
+        (dict(mean_pkt_time=0.0), "mean_pkt_time"),
+        (dict(mean_pkt_time=-0.001), "mean_pkt_time"),
+        (dict(mean_pkt_time=float("nan")), "mean_pkt_time"),
+        (dict(w_q=0.0), "w_q"),
+        (dict(w_q=-0.1), "w_q"),
+        (dict(w_q=2.0), "w_q"),
+    ])
+    def test_red_bad_values_rejected(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            make_queue(QueueConfig("red", params=params))
+
     def test_with_params_merges(self):
         cfg = QueueConfig("red", params=dict(min_th=5.0))
         cfg2 = cfg.with_params(max_th=20.0)
@@ -101,9 +110,7 @@ class TestRngAndSim:
         sim_new = Simulator(seed=9)
         q_new = make_queue(QueueConfig("red"), sim=sim_new)
         sim_old = Simulator(seed=9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            q_old = RedQueue(100, rng=sim_old.stream("red", unique=True))
+        q_old = RedQueue(100, rng=sim_old.stream("red", unique=True))
         draws_new = [q_new.rng.random() for _ in range(5)]
         draws_old = [q_old.rng.random() for _ in range(5)]
         assert draws_new == draws_old
@@ -122,37 +129,3 @@ class TestRngAndSim:
         sim = Simulator(seed=1)
         make_queue(QueueConfig("red"), sim=sim)
         make_queue(QueueConfig("red"), sim=sim)  # claims "red#1", no clash
-
-
-class TestDeprecationShims:
-    def test_direct_construction_warns_exactly_once_per_class(self):
-        reset_legacy_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            DropTailQueue(10)
-            DropTailQueue(10)
-            RedQueue(10)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 2  # one for DropTailQueue, one for RedQueue
-        assert "make_queue" in str(dep[0].message)
-
-    def test_make_queue_never_warns(self):
-        reset_legacy_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for name in DISCIPLINES:
-                make_queue(QueueConfig(name, capacity_pkts=10))
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert dep == []
-
-    def test_plain_subclasses_do_not_warn(self):
-        reset_legacy_warnings()
-
-        class MyQueue(QueueDiscipline):
-            pass
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            MyQueue(10)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert dep == []

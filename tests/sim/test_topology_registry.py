@@ -1,6 +1,4 @@
-"""Topology registry: make_topology round-trips and builder shims."""
-
-import warnings
+"""Topology registry: make_topology round-trips and validation."""
 
 import pytest
 
@@ -10,23 +8,13 @@ from repro.sim.topology import (
     TOPOLOGIES,
     Dumbbell,
     ParkingLot,
-    build_dumbbell,
-    build_parking_lot,
     make_topology,
-    reset_builder_warnings,
 )
 
 DB_KW = dict(n_left=2, n_right=2, bottleneck_bw=1e6, bottleneck_delay=0.01,
              qdisc_fwd=lambda: DropTailQueue(10))
 LOT_KW = dict(n_routers=3, cloud_size=2, link_bw=1e6, link_delay=0.005,
               qdisc=lambda: DropTailQueue(10))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warning_state():
-    reset_builder_warnings()
-    yield
-    reset_builder_warnings()
 
 
 def test_registry_contents():
@@ -55,21 +43,6 @@ def test_unknown_topology_fails_loudly():
 def test_unknown_param_fails_loudly():
     with pytest.raises(ValueError, match="n_hosts"):
         make_topology("dumbbell", Simulator(), n_hosts=3, **DB_KW)
-
-
-def test_builder_shims_delegate_and_warn_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        db = build_dumbbell(Simulator(), **DB_KW)
-        build_dumbbell(Simulator(), **DB_KW)
-        lot = build_parking_lot(Simulator(), **LOT_KW)
-    assert isinstance(db, Dumbbell)
-    assert isinstance(lot, ParkingLot)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    # one per builder, not per call
-    assert len(deprecations) == 2
-    assert all("make_topology" in str(w.message) for w in deprecations)
 
 
 def test_factory_matches_direct_construction():

@@ -9,10 +9,11 @@ defined on such a class — has no docstring.  This backs the
 documentation contract in README.md: the subsystem docs can link to the
 API surface and trust that every entry point explains itself.
 
-Two document-drift guards ride along: the README documentation index
-must link every hand-written file under ``docs/``, and every
-``REPRO_*`` environment knob read anywhere under ``src/`` must have a
-row in ``docs/ENVIRONMENT.md`` (the authoritative knob table).
+Document-drift guards ride along: the README documentation index must
+link every hand-written file under ``docs/``, every ``REPRO_*``
+environment knob read anywhere under ``src/`` must have a row in
+``docs/ENVIRONMENT.md`` (the authoritative knob table), and every knob
+with a row there must still be read by the code.
 """
 
 from __future__ import annotations
@@ -136,6 +137,31 @@ def test_environment_doc_covers_every_knob():
     missing = sorted(k for k in knobs if k not in documented)
     assert not missing, (
         f"knobs read in src/ but absent from docs/ENVIRONMENT.md: {missing}"
+    )
+
+
+def test_environment_doc_rows_name_live_knobs():
+    """Every knob in a docs/ENVIRONMENT.md table row is still read.
+
+    The reverse of the check above.  A knob counts as read when its name
+    appears as a string literal (``"REPRO_X"``, the form every
+    ``os.environ`` lookup uses) in ``src/`` or ``setup.py``, or when it
+    is a test-only knob — so a deleted knob's row cannot outlive it.
+    """
+    rows = set(re.findall(r"^\|\s*`(REPRO_[A-Z][A-Z0-9_]*)`",
+                          (ROOT / "docs" / "ENVIRONMENT.md").read_text(
+                              encoding="utf-8"),
+                          re.MULTILINE))
+    assert rows, "no knob rows found in docs/ENVIRONMENT.md"
+    sources = list((ROOT / "src" / "repro").rglob("*.py"))
+    sources.append(ROOT / "setup.py")
+    read = set()
+    for path in sources:
+        read.update(re.findall(r"[\"'](REPRO_[A-Z][A-Z0-9_]*)[\"']",
+                               path.read_text(encoding="utf-8")))
+    stale = sorted(rows - read - _TEST_ONLY_KNOBS)
+    assert not stale, (
+        f"docs/ENVIRONMENT.md documents knobs nothing reads: {stale}"
     )
 
 
