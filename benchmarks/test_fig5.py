@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.response import GentleRedCurve
+from repro.aqm import GentleRedCurve
 from repro.experiments.fig5_response_curve import PAPER_EXPECTATION, run
 from repro.experiments.report import format_table
 

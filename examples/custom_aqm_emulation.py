@@ -19,6 +19,7 @@ Run:  python examples/custom_aqm_emulation.py
 """
 
 import os
+from dataclasses import dataclass
 
 from repro import (
     DropTailQueue,
@@ -46,9 +47,10 @@ DURATION, WARMUP = (12.0, 4.0) if QUICK else (40.0, 15.0)
 class QuadraticCurve:
     """A custom response law: probability grows quadratically in delay.
 
-    Any object with a ``probability(queuing_delay) -> float`` method (or
-    ``__call__``) can replace PERT's curve — this one responds more
-    timidly than gentle RED near the threshold and more sharply later.
+    Any object with an ``update(queuing_delay) -> probability`` method can
+    be PERT's law (stateless curves alias it to ``probability``) — this
+    one responds more timidly than gentle RED near the threshold and more
+    sharply later.
     """
 
     def __init__(self, t_min=0.005, t_full=0.025):
@@ -61,15 +63,23 @@ class QuadraticCurve:
         x = min(1.0, (queuing_delay - self.t_min) / (self.t_full - self.t_min))
         return x * x
 
-    __call__ = probability
+    __call__ = update = probability
+
+
+@dataclass
+class QuadraticConfig(PertConfig):
+    """PERT's knobs with the quadratic law in place of gentle RED."""
+
+    t_full: float = 0.025
+
+    def make_law(self):
+        return QuadraticCurve(t_min=self.t_min, t_full=self.t_full)
 
 
 class QuadraticPertSender(PertSender):
-    """PERT with the quadratic curve swapped in."""
+    """PERT with the quadratic curve swapped in: only the config differs."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.curve = QuadraticCurve()
+    config_class = QuadraticConfig
 
 
 def run(sender_cls, label, **sender_kwargs):
@@ -115,7 +125,7 @@ def main() -> None:
                             delta=N_FLOWS / pkt_rate))
     run(PertRemSender, "PERT/REM")
     run(QuadraticPertSender, "PERT/custom")
-    print("\nSwapping the response law is a one-class change — the paper's"
+    print("\nSwapping the response law is a one-method change — the paper's"
           "\ngenerality claim, demonstrated.")
 
 

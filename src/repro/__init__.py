@@ -6,15 +6,8 @@ builders, and the fairness metric.  See ``DESIGN.md`` for the full system
 inventory and ``EXPERIMENTS.md`` for the paper-vs-measured results.
 """
 
-from .core import (
-    EwmaRtt,
-    GentleRedCurve,
-    PertConfig,
-    PertPiConfig,
-    PertPiSender,
-    PertSender,
-    PiResponse,
-)
+from .aqm import GentleRedCurve, PiResponse
+from .core import EwmaRtt, PertConfig, PertPiConfig, PertPiSender, PertSender
 from .metrics import jain_index
 from .sim import (
     DropTailQueue,

@@ -1,30 +1,27 @@
 """PERT — Probabilistic Early Response TCP (the paper's contribution).
 
-Public API: the PERT senders (:class:`PertSender`, :class:`PertPiSender`),
-their configuration dataclasses, the smoothed-RTT congestion signals and
-the pluggable response curves.
+Public API: the PERT senders (:class:`PertSender`, :class:`PertPiSender`,
+:class:`PertRemSender`, :class:`PertOwdSender`), their configuration
+dataclasses and the smoothed-RTT congestion signals.  The AQM laws the
+senders emulate live in :mod:`repro.aqm`.
 """
 
-from .config import PertConfig, PertPiConfig
+from .config import PertConfig, PertPiConfig, SenderKnobs
 from .pert import PertSender
 from .pert_owd import PertOwdSender
 from .pert_pi import PertPiSender
 from .pert_rem import PertRemConfig, PertRemSender
-from .response import GentleRedCurve, PiResponse, RedCurve, RemResponse
 from .srtt import SRTT_WEIGHT_PERT, SRTT_WEIGHT_TCP, EwmaRtt, MovingAverageRtt
 
 __all__ = [
     "PertConfig",
     "PertPiConfig",
+    "SenderKnobs",
     "PertSender",
     "PertOwdSender",
     "PertPiSender",
     "PertRemSender",
     "PertRemConfig",
-    "GentleRedCurve",
-    "RedCurve",
-    "PiResponse",
-    "RemResponse",
     "EwmaRtt",
     "MovingAverageRtt",
     "SRTT_WEIGHT_PERT",

@@ -1,15 +1,46 @@
-"""Configuration objects for PERT agents."""
+"""Configuration objects for PERT agents: shared sender knobs plus one law."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["PertConfig", "PertPiConfig"]
+from ..aqm import GentleRedCurve, PiResponse
+
+__all__ = ["SenderKnobs", "PertConfig", "PertPiConfig"]
+
+
+class SenderKnobs:
+    """The sender knobs of every PERT config, checked in one place.
+
+    A subclass is a dataclass with ``srtt_weight``, ``early_decrease`` and
+    ``min_response_interval_rtts`` fields and a ``make_law()`` that builds
+    a fresh law; the Section 7 knobs stay off unless it declares them.
+    """
+
+    escalating_interval = False
+    deterministic_threshold = None
+    aggressive_increase = 0.0
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` on any invalid knob or law parameter."""
+        if not 0 <= self.srtt_weight < 1:
+            raise ValueError("srtt_weight must be in [0, 1)")
+        if not 0 < self.early_decrease < 1:
+            raise ValueError("early_decrease must be in (0, 1)")
+        if self.min_response_interval_rtts < 0:
+            raise ValueError("min_response_interval_rtts must be >= 0")
+        if self.deterministic_threshold is not None and not (
+            0 < self.deterministic_threshold <= 1
+        ):
+            raise ValueError("deterministic_threshold must be in (0, 1]")
+        if self.aggressive_increase < 0:
+            raise ValueError("aggressive_increase must be >= 0")
+        self.make_law()  # the law checks its own parameters
 
 
 @dataclass
-class PertConfig:
+class PertConfig(SenderKnobs):
     """Parameters of PERT emulating gentle RED (paper Section 3).
 
     Attributes
@@ -65,27 +96,13 @@ class PertConfig:
     deterministic_threshold: Optional[float] = None
     aggressive_increase: float = 0.0
 
-    def validate(self) -> None:
-        if not 0 <= self.t_min < self.t_max:
-            raise ValueError("need 0 <= t_min < t_max")
-        if not 0 < self.p_max <= 1:
-            raise ValueError("p_max must be in (0, 1]")
-        if not 0 <= self.srtt_weight < 1:
-            raise ValueError("srtt_weight must be in [0, 1)")
-        if not 0 < self.early_decrease < 1:
-            raise ValueError("early_decrease must be in (0, 1)")
-        if self.min_response_interval_rtts < 0:
-            raise ValueError("min_response_interval_rtts must be >= 0")
-        if self.deterministic_threshold is not None and not (
-            0 < self.deterministic_threshold <= 1
-        ):
-            raise ValueError("deterministic_threshold must be in (0, 1]")
-        if self.aggressive_increase < 0:
-            raise ValueError("aggressive_increase must be >= 0")
+    def make_law(self) -> GentleRedCurve:
+        """The (gentle) RED curve over the queuing-delay signal."""
+        return GentleRedCurve(self.t_min, self.t_max, self.p_max, self.gentle)
 
 
 @dataclass
-class PertPiConfig:
+class PertPiConfig(SenderKnobs):
     """Parameters of PERT emulating a PI controller (paper Section 6).
 
     ``k`` and ``m`` are the PI gains of eq. (16)/(21); ``target_delay``
@@ -100,10 +117,6 @@ class PertPiConfig:
     early_decrease: float = 0.35
     min_response_interval_rtts: float = 1.0
 
-    def validate(self) -> None:
-        if self.k <= 0 or self.m <= 0:
-            raise ValueError("PI gains must be positive")
-        if self.target_delay < 0:
-            raise ValueError("target_delay must be >= 0")
-        if not 0 < self.early_decrease < 1:
-            raise ValueError("early_decrease must be in (0, 1)")
+    def make_law(self) -> PiResponse:
+        """A PI controller in its initial state."""
+        return PiResponse(self.k, self.m, self.target_delay, self.delta)

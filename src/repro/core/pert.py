@@ -5,13 +5,18 @@ PERT is a SACK TCP sender with one addition: on every incoming ACK it
 1. updates the ``srtt_0.99`` smoothed-RTT signal,
 2. converts it to a queuing-delay estimate (srtt minus the minimum
    observed RTT, the propagation-delay proxy),
-3. maps the estimate through the gentle-RED probability curve, and
+3. maps the estimate through an AQM law (:mod:`repro.aqm`; the paper's
+   choice is the gentle-RED curve), and
 4. with that probability — and at most once per RTT — multiplicatively
    reduces the congestion window by 35 % (``cwnd *= 0.65``), emulating
-   what an ECN mark from a RED router would have caused.
+   what an ECN mark from an AQM router would have caused.
 
 Packet losses are handled exactly as in SACK TCP (fast retransmit /
 recovery), so PERT degrades gracefully when prediction fails.
+
+This is the one early-response path: PERT/PI, PERT/REM and the one-way
+delay variant are subclasses that change only the law (through their
+config's ``make_law``) or the signal.
 """
 
 from __future__ import annotations
@@ -20,31 +25,30 @@ from typing import List, Optional, Tuple
 
 from ..sim.packet import Packet
 from ..tcp.base import TcpSender
-from .config import PertConfig
-from .response import GentleRedCurve, RedCurve
+from .config import PertConfig, SenderKnobs
 from .srtt import EwmaRtt
 
 __all__ = ["PertSender"]
 
 
 class PertSender(TcpSender):
-    """PERT sender emulating gentle-RED/ECN at the end host.
+    """PERT sender emulating an AQM law (default gentle-RED/ECN) at the end host.
 
     Parameters beyond :class:`~repro.tcp.base.TcpSender`'s are supplied
-    via a :class:`~repro.core.config.PertConfig`.
+    via a config (:class:`~repro.core.config.PertConfig` unless the
+    subclass names another ``config_class``).  One config object may be
+    shared by many senders: each builds its own law state from it.
     """
 
-    def __init__(self, *args, config: Optional[PertConfig] = None, **kwargs):
+    config_class = PertConfig
+
+    def __init__(self, *args, config: Optional[SenderKnobs] = None, **kwargs):
         kwargs.setdefault("ecn", False)  # PERT needs no router support
         super().__init__(*args, **kwargs)
-        self.config = config or PertConfig()
+        self.config = config or self.config_class()
         self.config.validate()
-        curve_cls = GentleRedCurve if self.config.gentle else RedCurve
-        self.curve = curve_cls(
-            t_min=self.config.t_min,
-            t_max=self.config.t_max,
-            p_max=self.config.p_max,
-        )
+        #: this sender's AQM law: ``update(queuing_delay) -> probability``
+        self.law = self.config.make_law()
         self.signal = EwmaRtt(weight=self.config.srtt_weight)
         self._last_early_response = -1e9
         self._interval_scale = 1.0  # Section 7: escalating response spacing
@@ -59,16 +63,12 @@ class PertSender(TcpSender):
         """Current smoothed queuing-delay estimate (srtt − min RTT)."""
         return self.signal.queuing_delay
 
-    def response_probability(self) -> float:
-        """Early-response probability for the current signal value."""
-        return self.curve.probability(self.signal.queuing_delay)
-
     # ------------------------------------------------------------------
     def on_ack(self, pkt: Packet, rtt_sample: Optional[float]) -> None:
         if rtt_sample is None:
             return
         self.signal.update(rtt_sample)
-        prob = self.response_probability()
+        prob = self.law.update(self.signal.queuing_delay)
         if self.record_signal:
             self.signal_trace.append((self.sim.now, self.signal.value, prob))
         if prob <= 0.0:

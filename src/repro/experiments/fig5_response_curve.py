@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core.response import GentleRedCurve
+from ..aqm import GentleRedCurve
 from .report import format_table
 
 __all__ = ["run", "validation_metrics", "main"]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Type
 
+from ..aqm import pi_coefficients
 from ..core.config import PertPiConfig
 from ..core.pert import PertSender
 from ..core.pert_owd import PertOwdSender
@@ -93,9 +94,7 @@ def _pi_queue(sim: Simulator, buffer_pkts: int, bandwidth_bps: float,
     k, m = pert_pi_gains(capacity=pkt_rate, n_minus=max(1, n_flows // 2),
                          r_plus=max(rtt * 1.5, 0.05))
     sample_hz = 170.0
-    delta = 1.0 / sample_hz
-    gamma = k / m + k * delta / 2.0
-    beta = k / m - k * delta / 2.0
+    gamma, beta = pi_coefficients(k, m, 1.0 / sample_hz)
     q_ref = max(1.0, 0.003 * pkt_rate)  # 3 ms target delay
     cfg = QueueConfig(
         "pi",

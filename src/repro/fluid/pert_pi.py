@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import stability
 from .dde import DdeSolution, integrate_dde
 
 __all__ = ["PertPiFluidModel"]
@@ -47,8 +48,7 @@ class PertPiFluidModel:
 
     def equilibrium(self) -> Tuple[float, float, float]:
         """(W*, p*, Tq*): the PI integrator forces Tq -> tq_ref."""
-        w_star = self.rtt * self.capacity / self.n_flows
-        p_star = 2.0 * self.n_flows**2 / (self.rtt**2 * self.capacity**2)
+        w_star, p_star = stability.equilibrium(self.capacity, self.n_flows, self.rtt)
         return w_star, p_star, self.tq_ref
 
     def equilibrium_state(self) -> Tuple[float, float, float]:

@@ -30,6 +30,8 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..aqm import red_slope
+from . import stability
 from .dde import DdeBatchSolution, DdeSolution, integrate_dde, integrate_dde_batch
 
 __all__ = ["PertRedFluidModel", "simulate_batch"]
@@ -96,12 +98,12 @@ class PertRedFluidModel:
     @property
     def l_pert(self) -> float:
         """Slope L_PERT = p_max / (T_max - T_min)  (paper eq. 10)."""
-        return self.p_max / (self.t_max - self.t_min)
+        return red_slope(self.p_max, self.t_min, self.t_max)
 
     @property
     def k_lpf(self) -> float:
         """LPF pole K = ln(alpha) / delta < 0  (paper eq. 10)."""
-        return math.log(self.alpha) / self.delta
+        return stability.k_lpf(self.alpha, self.delta)
 
     def equilibrium(self) -> Tuple[float, float, float]:
         """Stationary point (W*, p*, Tq*) generalising eq. (9).
@@ -110,7 +112,7 @@ class PertRedFluidModel:
         window derivative to zero gives p* = 2β'/W*² where the paper's
         β = 0.5 recovers p* = 2N²/(R²C²); Tq* = T_min + p*/L.
         """
-        w_star = self.rtt * self.capacity / self.n_flows
+        w_star, _ = stability.equilibrium(self.capacity, self.n_flows, self.rtt)
         p_star = 1.0 / (self.beta_decrease * w_star**2)
         tq_star = self.t_min + p_star / self.l_pert
         return w_star, p_star, tq_star

@@ -16,12 +16,13 @@ average (packets).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ..aqm import red_slope
+from . import stability
 from .dde import DdeSolution, integrate_dde
 
 __all__ = ["TcpRedFluidModel"]
@@ -55,16 +56,16 @@ class TcpRedFluidModel:
     @property
     def l_red(self) -> float:
         """Slope of RED's marking curve in probability per packet."""
-        return self.p_max / (self.max_th - self.min_th)
+        return red_slope(self.p_max, self.min_th, self.max_th)
 
     @property
     def k_lpf(self) -> float:
-        return math.log(self.alpha) / self.delta
+        """Averaging pole K = ln(alpha) / delta < 0."""
+        return stability.k_lpf(self.alpha, self.delta)
 
     def equilibrium(self) -> Tuple[float, float, float]:
         """(W*, p*, q*) with q* = min_th + p*/L_RED."""
-        w_star = self.rtt * self.capacity / self.n_flows
-        p_star = 2.0 * self.n_flows**2 / (self.rtt**2 * self.capacity**2)
+        w_star, p_star = stability.equilibrium(self.capacity, self.n_flows, self.rtt)
         q_star = self.min_th + p_star / self.l_red
         return w_star, p_star, q_star
 

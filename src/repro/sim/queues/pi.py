@@ -85,6 +85,11 @@ class PiQueue(QueueDiscipline):
     def update(self) -> float:
         """One controller step; returns the new mark probability."""
         q = float(len(self._buf))
+        # The same bilinear PI law as repro.aqm.PiResponse, but summed as
+        # a·e − b·e' + p where PiResponse sums p + γ·e − β·e'.  Float
+        # addition is not associative and both orders are pinned by
+        # goldens (this one by the router sweeps, PiResponse's by the
+        # PERT/PI ones), so the two updates stay separate.
         p = self.a * (q - self.q_ref) - self.b * (self._q_old - self.q_ref) + self.p
         self.p = min(1.0, max(0.0, p))
         self._q_old = q

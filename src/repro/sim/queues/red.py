@@ -5,7 +5,8 @@ the two extensions the paper's evaluation relies on:
 
 * the **gentle** variant, where the marking probability ramps linearly
   from ``max_p`` at ``max_th`` up to 1 at ``2*max_th`` (this curve is what
-  PERT emulates at the end host — Figure 5 of the paper), and
+  PERT emulates at the end host — Figure 5 of the paper; both hosts
+  evaluate the same :class:`repro.aqm.GentleRedCurve`), and
 * **Adaptive RED** (Floyd, Gummadi & Shenker, 2001), which slowly adapts
   ``max_p`` to hold the average queue inside a target band.  The paper's
   router baseline ("SACK/RED-ECN") uses ns-2's adaptive RED.
@@ -21,6 +22,7 @@ import math
 import random
 from typing import Any, Dict, Optional
 
+from ...aqm import GentleRedCurve
 from ..packet import Packet
 from .base import QueueDiscipline
 
@@ -75,18 +77,15 @@ class RedQueue(QueueDiscipline):
         rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(capacity_pkts, capacity_bytes=capacity_bytes)
-        if not 0 < min_th < max_th:
-            raise ValueError("need 0 < min_th < max_th")
-        if not 0 < max_p <= 1:
-            raise ValueError("max_p must be in (0, 1]")
+        if min_th <= 0:
+            raise ValueError("min_th must be > 0")
+        #: the marking curve over the average queue (packets); Adaptive
+        #: RED moves its ``p_max``
+        self.law = GentleRedCurve(min_th, max_th, max_p, gentle)
         if w_q is not None and not 0 < w_q <= 1:
             raise ValueError("w_q must be in (0, 1]")
         if not 0 < mean_pkt_time < math.inf:
             raise ValueError("mean_pkt_time must be positive and finite")
-        self.min_th = min_th
-        self.max_th = max_th
-        self.max_p = max_p
-        self.gentle = gentle
         self.ecn = ecn
         self.adaptive = adaptive
         self.interval = interval
@@ -126,27 +125,21 @@ class RedQueue(QueueDiscipline):
     # ------------------------------------------------------------------
     def mark_probability(self) -> float:
         """Instantaneous p_b as a function of the current average queue."""
-        avg = self.avg
-        if avg < self.min_th:
-            return 0.0
-        if avg < self.max_th:
-            return self.max_p * (avg - self.min_th) / (self.max_th - self.min_th)
-        if self.gentle and avg < 2 * self.max_th:
-            return self.max_p + (1.0 - self.max_p) * (avg - self.max_th) / self.max_th
-        return 1.0
+        return self.law.probability(self.avg)
 
     def _adapt_max_p(self, now: float) -> None:
         """Adaptive RED: hold avg inside the middle of [min_th, max_th]."""
         if now - self._last_adapt < self.interval:
             return
         self._last_adapt = now
-        span = self.max_th - self.min_th
-        target_lo = self.min_th + 0.4 * span
-        target_hi = self.min_th + 0.6 * span
-        if self.avg > target_hi and self.max_p <= 0.5:
-            self.max_p += min(0.01, self.max_p / 4.0)
-        elif self.avg < target_lo and self.max_p >= 0.01:
-            self.max_p *= 0.9
+        law = self.law
+        span = law.t_max - law.t_min
+        target_lo = law.t_min + 0.4 * span
+        target_hi = law.t_min + 0.6 * span
+        if self.avg > target_hi and law.p_max <= 0.5:
+            law.p_max += min(0.01, law.p_max / 4.0)
+        elif self.avg < target_lo and law.p_max >= 0.01:
+            law.p_max *= 0.9
 
     # ------------------------------------------------------------------
     # admission
@@ -158,7 +151,7 @@ class RedQueue(QueueDiscipline):
         if self.is_full_for(pkt):
             self._count = 0
             return "drop"
-        p_b = self.mark_probability()
+        p_b = self.law.probability(self.avg)
         if self.byte_mode and p_b > 0.0:
             p_b = min(1.0, p_b * pkt.size / self.mean_pkt_size)
         if p_b <= 0.0:
@@ -184,7 +177,7 @@ class RedQueue(QueueDiscipline):
     def aqm_state(self) -> Dict[str, Any]:
         return {
             "avg": self.avg,
-            "max_p": self.max_p,
+            "max_p": self.law.p_max,
             "p": self.mark_probability(),
         }
 

@@ -14,9 +14,9 @@ path.  The price update each period T is
 
 (the ``q - q_prev`` term approximates rate mismatch by queue growth).
 
-Included both as an additional router baseline and as the template for
-the end-host REM emulation (:class:`repro.core.response.RemResponse`),
-demonstrating the paper's claim that PERT generalises to other AQMs.
+The law is :class:`repro.aqm.RemResponse`, the same object the end-host
+REM emulation (:class:`repro.core.pert_rem.PertRemSender`) runs on
+queuing delay — the paper's claim that PERT generalises to other AQMs.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Optional
 
+from ...aqm import RemResponse
 from ..engine import Simulator
 from ..packet import Packet
 from .base import QueueDiscipline
@@ -62,19 +63,13 @@ class RemQueue(QueueDiscipline):
         rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(capacity_pkts)
-        if phi <= 1.0:
-            raise ValueError("phi must be > 1")
-        if q_ref < 0 or gamma <= 0:
-            raise ValueError("q_ref must be >= 0 and gamma > 0")
-        self.q_ref = q_ref
-        self.gamma = gamma
-        self.alpha = alpha
-        self.phi = phi
+        if not sample_hz > 0:
+            raise ValueError("sample_hz must be positive")
+        #: the price law over the queue length (``target_delay`` = q_ref)
+        self.law = RemResponse(gamma, alpha, phi, target_delay=q_ref)
         self.period = 1.0 / sample_hz
         self.ecn = ecn
         self.rng = rng or random.Random(0x4E4)
-        self.price = 0.0
-        self._q_prev = 0.0
         if sim is not None:
             self._attach(sim)
 
@@ -86,25 +81,21 @@ class RemQueue(QueueDiscipline):
         sim.schedule_fire(self.period, self._tick, sim)
 
     def update(self) -> float:
-        """One price step; returns the resulting mark probability."""
-        q = float(len(self._buf))
-        mismatch = self.alpha * (q - self.q_ref) + (q - self._q_prev)
-        self.price = max(0.0, self.price + self.gamma * mismatch)
-        self._q_prev = q
-        return self.mark_probability()
+        """One price step on the queue length; returns the mark probability."""
+        return self.law.update(float(len(self._buf)))
 
     def mark_probability(self) -> float:
         """REM's exponential law: 1 - phi^(-price)."""
-        return 1.0 - self.phi ** (-self.price)
+        return self.law.p
 
     def admit(self, pkt: Packet, now: float) -> str:
         if self.is_full_for(pkt):
             return "drop"
-        if self.rng.random() < self.mark_probability():
+        if self.rng.random() < self.law.p:
             if self.ecn and pkt.ect:
                 return "mark"
             return "drop"
         return "enqueue"
 
     def aqm_state(self) -> Dict[str, Any]:
-        return {"price": self.price, "p": self.mark_probability()}
+        return {"price": self.law.price, "p": self.law.p}

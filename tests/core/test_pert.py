@@ -1,5 +1,9 @@
 """Unit and behavioural tests for the PERT sender (the core contribution)."""
 
+import importlib.util
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import PertConfig
@@ -36,7 +40,7 @@ def test_response_probability_zero_at_empty_queue():
     db = make_dumbbell(sim)
     sender, _ = make_flow(sim, db, sender_cls=PertSender)
     sender.signal.update(0.024)  # min == srtt -> zero queuing delay
-    assert sender.response_probability() == 0.0
+    assert sender.law(sender.queuing_delay_estimate) == 0.0
 
 
 def test_early_response_reduces_by_35_percent():
@@ -169,4 +173,43 @@ def test_non_gentle_config():
     s.signal.update(0.01)
     s.signal.min_rtt = 0.01
     s.signal.value = 0.01 + 0.011  # queuing delay just above t_max
-    assert s.response_probability() == 1.0
+    assert s.law(s.queuing_delay_estimate) == 1.0
+
+
+class _AlwaysRespond:
+    """A custom law that always answers 1.0."""
+
+    def update(self, queuing_delay):
+        return 1.0
+
+
+@dataclass
+class _AlwaysConfig(PertConfig):
+    def make_law(self):
+        return _AlwaysRespond()
+
+
+def test_custom_law_is_consulted():
+    """A sender whose config builds a custom law must run that law."""
+    sim = Simulator(seed=1)
+    db = make_dumbbell(sim)
+    # the gentle-RED curve of these thresholds never fires (see
+    # test_pert_falls_back_to_loss_recovery); the custom law always does
+    cfg = _AlwaysConfig(t_min=10.0, t_max=20.0)
+    s, _ = make_flow(sim, db, sender_cls=PertSender, config=cfg)
+    assert isinstance(s.law, _AlwaysRespond)
+    s.start(npackets=200)
+    sim.run(until=5.0)
+    assert s.early_responses > 0
+
+
+def test_custom_aqm_example_runs_its_own_law():
+    path = Path(__file__).resolve().parents[2] / "examples" / "custom_aqm_emulation.py"
+    spec = importlib.util.spec_from_file_location("custom_aqm_emulation", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    sim = Simulator(seed=1)
+    db = make_dumbbell(sim)
+    s, _ = make_flow(sim, db, sender_cls=example.QuadraticPertSender)
+    assert isinstance(s.law, example.QuadraticCurve)
+    assert s.law.update(0.025) == 1.0  # quadratic saturates at t_full

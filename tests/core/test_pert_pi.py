@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aqm import PiResponse
 from repro.core.config import PertPiConfig
 from repro.core.pert_pi import PertPiSender
 from repro.sim.engine import Simulator
@@ -17,6 +18,21 @@ def test_config_validation():
     PertPiConfig().validate()
 
 
+@pytest.mark.parametrize("knobs", [
+    dict(srtt_weight=1.5),
+    dict(min_response_interval_rtts=-1),
+    dict(delta=0.0),
+])
+def test_config_checks_shared_sender_knobs(knobs):
+    with pytest.raises(ValueError):
+        PertPiConfig(**knobs).validate()
+
+
+def test_pi_law_rejects_negative_target_delay():
+    with pytest.raises(ValueError, match="target_delay"):
+        PiResponse(k=1, m=1, target_delay=-0.5)
+
+
 def test_controller_state_advances_on_acks():
     sim = Simulator(seed=1)
     db = make_dumbbell(sim)
@@ -27,10 +43,10 @@ def test_controller_state_advances_on_acks():
         pass
 
     s.on_ack(FakeAck(), rtt_sample=0.05)  # establishes min_rtt
-    assert s.controller.p == 0.0
+    assert s.law.p == 0.0
     for _ in range(5):
         s.on_ack(FakeAck(), rtt_sample=0.2)  # sustained queuing delay
-    assert s.controller.p > 0.0
+    assert s.law.p > 0.0
 
 
 def test_early_response_uses_35_percent_decrease():
@@ -71,7 +87,7 @@ def test_no_response_in_recovery():
     db = make_dumbbell(sim)
     s, _ = make_flow(sim, db, sender_cls=PertPiSender)
     s.in_recovery = True
-    s.controller.p = 1.0
+    s.law.p = 1.0
 
     class FakeAck:
         pass

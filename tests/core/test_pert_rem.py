@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from repro.aqm import RemResponse
 from repro.core.pert_rem import PertRemConfig, PertRemSender
-from repro.core.response import RemResponse
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import RemQueue
@@ -34,19 +34,19 @@ class TestRemResponse:
         for _ in range(50):
             rem.update(0.0)
         assert rem.price == 0.0
-        assert rem.probability() == 0.0
+        assert rem.p == 0.0
 
     def test_probability_bounds(self):
         rem = RemResponse(phi=2.0)
         rem.price = 1000.0
-        assert rem.probability() == pytest.approx(1.0)
+        assert rem.p == pytest.approx(1.0)
         rem.price = 0.0
-        assert rem.probability() == 0.0
+        assert rem.p == 0.0
 
     def test_exponential_law(self):
         rem = RemResponse(phi=2.0)
         rem.price = 1.0
-        assert rem.probability() == pytest.approx(0.5)
+        assert rem.p == pytest.approx(0.5)
 
     def test_reset(self):
         rem = RemResponse()
@@ -73,18 +73,18 @@ class TestRemQueue:
             q.enqueue(self.pkt(i), 0.0)
         for _ in range(5):
             q.update()
-        assert q.price > 0 and q.mark_probability() > 0
+        assert q.law.price > 0 and q.mark_probability() > 0
 
     def test_price_decays_when_light(self):
         q = RemQueue(100, q_ref=50.0, gamma=0.1, rng=random.Random(1))
-        q.price = 10.0
+        q.law.price = 10.0
         for _ in range(50):
             q.update()
-        assert q.price < 10.0
+        assert q.law.price < 10.0
 
     def test_marks_ect_drops_others(self):
         q = RemQueue(100, q_ref=0.0, rng=random.Random(1))
-        q.price = 1e9  # probability ~ 1
+        q.law.price = 1e9  # probability ~ 1
         p = self.pkt(0, ect=True)
         assert q.enqueue(p, 0.0)
         assert p.ce
@@ -97,7 +97,7 @@ class TestRemQueue:
         for i in range(30):
             q.enqueue(self.pkt(i), 0.0)
         sim.run(until=0.5)
-        assert q.price > 0.0
+        assert q.law.price > 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,6 +112,10 @@ class TestPertRemSender:
             PertRemConfig(phi=1.0).validate()
         with pytest.raises(ValueError):
             PertRemConfig(early_decrease=0.0).validate()
+        with pytest.raises(ValueError):
+            PertRemConfig(min_response_interval_rtts=-1).validate()
+        with pytest.raises(ValueError):
+            PertRemConfig(alpha=-1.0).validate()
         PertRemConfig().validate()
 
     def test_controls_queue_like_pert(self):
@@ -162,7 +166,7 @@ class TestPertRemSender:
         db = make_dumbbell(sim)
         s, _ = make_flow(sim, db, sender_cls=PertRemSender)
         s.in_recovery = True
-        s.controller.price = 1e9
+        s.law.price = 1e9
 
         class FakeAck:
             pass

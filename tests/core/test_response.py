@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.response import GentleRedCurve, PiResponse, RedCurve
+from repro.aqm import GentleRedCurve, PiResponse
 
 
 class TestGentleRedCurve:
@@ -45,7 +45,7 @@ class TestGentleRedCurve:
 
 class TestRedCurve:
     def test_jumps_to_one_at_t_max(self):
-        c = RedCurve(t_min=0.005, t_max=0.010, p_max=0.05)
+        c = GentleRedCurve(t_min=0.005, t_max=0.010, p_max=0.05, gentle=False)
         assert c(0.0099) < 0.05 + 1e-9
         assert c(0.0101) == 1.0
 

@@ -6,14 +6,21 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.response import GentleRedCurve, PiResponse, RedCurve
+from repro.aqm import GentleRedCurve, PiResponse, RemResponse
+from repro.core.config import PertPiConfig
+from repro.core.pert_pi import PertPiSender
+from repro.core.pert_rem import PertRemConfig, PertRemSender
 from repro.core.srtt import EwmaRtt, MovingAverageRtt
+from repro.fluid import PertRedFluidModel, TcpRedFluidModel
+from repro.fluid.stability import l_pert
 from repro.metrics.fairness import jain_index
 from repro.metrics.stats import histogram_pdf, percentile
 from repro.predictors.analysis import TransitionCounts, coalesce_events
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue, RedQueue
+from repro.sim.queues import DropTailQueue, RedQueue, RemQueue
+
+from ..conftest import make_dumbbell, make_flow
 
 rtts = st.floats(min_value=1e-4, max_value=10.0, allow_nan=False)
 
@@ -42,7 +49,8 @@ def test_gentle_curve_bounded_and_monotone(t_min, span, p_max, qs):
 )
 def test_gentle_at_least_as_gentle_as_red(t_min, span, p_max, q):
     gentle = GentleRedCurve(t_min=t_min, t_max=t_min + span, p_max=p_max)
-    red = RedCurve(t_min=t_min, t_max=t_min + span, p_max=p_max)
+    red = GentleRedCurve(t_min=t_min, t_max=t_min + span, p_max=p_max,
+                         gentle=False)
     assert gentle(q) <= red(q) + 1e-12
 
 
@@ -53,6 +61,103 @@ def test_pi_response_always_clamped(qs):
     for q in qs:
         p = pi.update(q)
         assert 0.0 <= p <= 1.0
+
+
+# ----------------------------------------------------------------------
+# one law, three hosts: router, end host and fluid model agree
+# ----------------------------------------------------------------------
+@given(
+    min_th=st.floats(min_value=0.5, max_value=50.0),
+    span=st.floats(min_value=0.5, max_value=50.0),
+    max_p=st.floats(min_value=1e-3, max_value=1.0),
+    gentle=st.booleans(),
+    avgs=st.lists(st.floats(min_value=0.0, max_value=250.0), min_size=1,
+                  max_size=30),
+)
+def test_red_router_marks_with_the_shared_law(min_th, span, max_p, gentle, avgs):
+    q = RedQueue(1000, min_th=min_th, max_th=min_th + span, max_p=max_p,
+                 gentle=gentle, w_q=0.1, rng=random.Random(0))
+    law = GentleRedCurve(min_th, min_th + span, max_p, gentle=gentle)
+    for x in avgs + [min_th, min_th + span, 2.0 * (min_th + span)]:
+        q.avg = x
+        assert q.mark_probability() == law.update(x)
+
+
+@given(
+    q_ref=st.floats(min_value=0.0, max_value=40.0),
+    gamma=st.floats(min_value=1e-4, max_value=0.5),
+    alpha=st.floats(min_value=0.0, max_value=2.0),
+    phi=st.floats(min_value=1.0001, max_value=2.0),
+    lengths=st.lists(st.integers(min_value=0, max_value=60), min_size=1,
+                     max_size=40),
+)
+def test_rem_router_price_is_the_shared_law(q_ref, gamma, alpha, phi, lengths):
+    # ECN marks still enqueue, so the queue reaches every target length
+    q = RemQueue(100, q_ref=q_ref, gamma=gamma, alpha=alpha, phi=phi,
+                 ecn=True, rng=random.Random(0))
+    law = RemResponse(gamma=gamma, alpha=alpha, phi=phi, target_delay=q_ref)
+    seq = 0
+    for n in lengths:
+        while len(q) < n:
+            assert q.enqueue(Packet(1, 0, 1, seq=seq, ect=True), 0.0)
+            seq += 1
+        while len(q) > n:
+            q.dequeue(0.0)
+        assert q.update() == law.update(float(n))
+        assert q.mark_probability() == law.p
+
+
+@given(
+    t_min=st.floats(min_value=0.0, max_value=0.1),
+    span=st.floats(min_value=1e-4, max_value=0.1),
+    p_max=st.floats(min_value=1e-3, max_value=1.0),
+)
+def test_fluid_slopes_are_the_law_slope(t_min, span, p_max):
+    law = GentleRedCurve(t_min, t_min + span, p_max)
+    assert PertRedFluidModel(p_max=p_max, t_min=t_min,
+                             t_max=t_min + span).l_pert == law.slope
+    assert l_pert(p_max, t_min, t_min + span) == law.slope
+    router_law = GentleRedCurve(1e3 * t_min, 1e3 * (t_min + span), p_max)
+    assert TcpRedFluidModel(p_max=p_max, min_th=router_law.t_min,
+                            max_th=router_law.t_max).l_red == router_law.slope
+
+
+@given(
+    capacity=st.floats(min_value=10.0, max_value=1e4),
+    rtt=st.floats(min_value=0.01, max_value=0.5),
+    beta=st.floats(min_value=0.1, max_value=0.9),
+    p_max=st.floats(min_value=1e-3, max_value=1.0),
+    frac=st.floats(min_value=1e-3, max_value=0.99),
+    t_min=st.floats(min_value=0.0, max_value=0.05),
+    span=st.floats(min_value=1e-3, max_value=0.1),
+)
+def test_law_at_fluid_equilibrium_delay_returns_equilibrium_probability(
+        capacity, rtt, beta, p_max, frac, t_min, span):
+    """Analytic oracle: p* = 1/(β W*²) and Tq* = T_min + p*/L put the
+    equilibrium on the curve's ramp whenever p* < p_max."""
+    # choose N so that p* = frac * p_max (< p_max, on the linear ramp)
+    w_star = math.sqrt(1.0 / (beta * frac * p_max))
+    model = PertRedFluidModel(capacity=capacity, rtt=rtt,
+                              n_flows=rtt * capacity / w_star,
+                              p_max=p_max, t_min=t_min, t_max=t_min + span,
+                              beta_decrease=beta)
+    _, p_star, tq_star = model.equilibrium()
+    assert p_star < p_max
+    law = GentleRedCurve(t_min, t_min + span, p_max)
+    assert math.isclose(law.update(tq_star), p_star, rel_tol=1e-9)
+
+
+def test_senders_sharing_a_config_own_distinct_law_state():
+    """Scenarios hand one config object to every sender of a run."""
+    for sender_cls, config in ((PertPiSender, PertPiConfig()),
+                               (PertRemSender, PertRemConfig())):
+        sim = Simulator(seed=1)
+        db = make_dumbbell(sim)
+        a, _ = make_flow(sim, db, idx=0, sender_cls=sender_cls, config=config)
+        b, _ = make_flow(sim, db, idx=1, sender_cls=sender_cls, config=config)
+        assert a.law is not b.law
+        a.law.update(0.5)
+        assert b.law.p == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,9 @@ class TestRoundTrip:
         )
         q = make_queue(cfg)
         assert isinstance(q, RedQueue)
-        assert (q.capacity, q.min_th, q.max_th, q.max_p) == (77, 7.0, 21.0, 0.2)
-        assert (q.gentle, q.adaptive, q.ecn) == (False, True, False)
+        assert q.capacity == 77
+        assert (q.law.t_min, q.law.t_max, q.law.p_max) == (7.0, 21.0, 0.2)
+        assert (q.law.gentle, q.adaptive, q.ecn) == (False, True, False)
 
     def test_pi(self):
         cfg = QueueConfig(
@@ -52,7 +53,7 @@ class TestRoundTrip:
         )
         q = make_queue(cfg)
         assert isinstance(q, RemQueue)
-        assert (q.q_ref, q.gamma, q.phi) == (15.0, 0.002, 1.002)
+        assert (q.law.target_delay, q.law.gamma, q.law.phi) == (15.0, 0.002, 1.002)
 
     def test_every_registered_discipline_constructs(self):
         for name, cls in DISCIPLINES.items():

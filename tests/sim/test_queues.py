@@ -159,16 +159,16 @@ class TestRed:
     def test_adaptive_max_p_increases_under_pressure(self):
         q = self.make(adaptive=True, interval=0.0)
         q.avg = 14.0  # above the target band
-        p0 = q.max_p
+        p0 = q.law.p_max
         q._adapt_max_p(now=1.0)
-        assert q.max_p > p0
+        assert q.law.p_max > p0
 
     def test_adaptive_max_p_decreases_when_light(self):
         q = self.make(adaptive=True, interval=0.0)
         q.avg = 5.5  # below the target band
-        q.max_p = 0.2
+        q.law.p_max = 0.2
         q._adapt_max_p(now=1.0)
-        assert q.max_p < 0.2
+        assert q.law.p_max < 0.2
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -61,7 +61,7 @@ class TestRemDynamics:
         prices = []
         for _ in range(20):
             q.update()
-            prices.append(q.price)
+            prices.append(q.law.price)
         assert prices == sorted(prices)  # monotone under constant overload
 
     def test_equilibrium_price_stable_at_reference(self):
@@ -70,18 +70,24 @@ class TestRemDynamics:
         for i in range(10):
             q.enqueue(pkt(i), 0.0)
         q.update()
-        p1 = q.price
+        p1 = q.law.price
         q.update()  # q == q_ref and q == q_prev: no drift
-        assert q.price == pytest.approx(p1)
+        assert q.law.price == pytest.approx(p1)
 
     def test_mark_probability_monotone_in_price(self):
         q = RemQueue(100, rng=random.Random(1))
         probs = []
         for price in (0.0, 1.0, 10.0, 100.0):
-            q.price = price
+            q.law.price = price
             probs.append(q.mark_probability())
         assert probs == sorted(probs)
         assert probs[0] == 0.0 and probs[-1] < 1.0
+
+    def test_rejects_what_the_shared_law_rejects(self):
+        with pytest.raises(ValueError, match="alpha"):
+            RemQueue(10, alpha=-1.0)
+        with pytest.raises(ValueError, match="sample_hz"):
+            RemQueue(10, sample_hz=0)
 
 
 class TestPiUnderLoad:

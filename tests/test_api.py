@@ -9,12 +9,13 @@ import repro
 
 MODULES = [
     "repro",
+    "repro.aqm",
     "repro.core",
     "repro.core.config",
     "repro.core.pert",
     "repro.core.pert_owd",
     "repro.core.pert_pi",
-    "repro.core.response",
+    "repro.core.pert_rem",
     "repro.core.srtt",
     "repro.sim",
     "repro.sim.engine",

@@ -1,11 +1,11 @@
 """Doc-coverage lint: public APIs of the tooling packages stay documented.
 
-Walks every module under ``repro.runner``, ``repro.snapshot``,
-``repro.obs``, ``repro.serve``, ``repro.validate``, ``repro.hybrid``,
-``repro.fleet`` and ``repro.compiled`` and fails when a public symbol —
-module, module-level function/class named by ``__all__`` (or all
-non-underscore names defined in the module), or a public method/property
-defined on such a class — has no docstring.  This backs the
+Walks the ``repro.aqm`` module and every module under ``repro.runner``,
+``repro.snapshot``, ``repro.obs``, ``repro.serve``, ``repro.validate``,
+``repro.hybrid``, ``repro.fleet`` and ``repro.compiled`` and fails when a
+public symbol — module, module-level function/class named by ``__all__``
+(or all non-underscore names defined in the module), or a public
+method/property defined on such a class — has no docstring.  This backs the
 documentation contract in README.md: the subsystem docs can link to the
 API surface and trust that every entry point explains itself.
 
@@ -26,8 +26,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGES = ["repro.runner", "repro.snapshot", "repro.obs", "repro.serve",
-            "repro.validate", "repro.hybrid", "repro.fleet",
+PACKAGES = ["repro.aqm", "repro.runner", "repro.snapshot", "repro.obs",
+            "repro.serve", "repro.validate", "repro.hybrid", "repro.fleet",
             "repro.compiled"]
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,7 +37,9 @@ def _iter_modules():
     for pkg_name in PACKAGES:
         pkg = importlib.import_module(pkg_name)
         yield pkg
-        for info in pkgutil.iter_modules(pkg.__path__, prefix=f"{pkg_name}."):
+        # a plain module (no __path__) has no submodules to walk
+        for info in pkgutil.iter_modules(getattr(pkg, "__path__", []),
+                                         prefix=f"{pkg_name}."):
             yield importlib.import_module(info.name)
 
 
