@@ -22,6 +22,10 @@
  *     read them), events_processed is batched into the finally block,
  *     and the inline-dispatch window (_horizon/_ninline) follows the
  *     exact open/close rules of ArraySimulator.run.
+ *   - An entry whose Event was postponed in place (Simulator.postpone,
+ *     inherited pure Python) is re-pushed under the Event's current
+ *     (time, seq) without being dispatched or counted, and max_events
+ *     follows the pure rules: 0 dispatches nothing, negative raises.
  *
  * Performance notes
  * -----------------
@@ -77,6 +81,8 @@ static Py_ssize_t o_horizon = -1;
 static Py_ssize_t o_ninline = -1;
 
 /* Event slot offsets */
+static Py_ssize_t o_ev_time = -1;
+static Py_ssize_t o_ev_seq = -1;
 static Py_ssize_t o_ev_cancelled = -1;
 static Py_ssize_t o_ev_fired = -1;
 
@@ -727,6 +733,53 @@ c_advance_if_clear(PyObject *Py_UNUSED(mod), PyObject *const *args,
 /* ------------------------------------------------------------------ */
 /* the run loop */
 
+/* Event attribute read: the slot for a real Event, getattr otherwise.
+ * New reference, NULL with an exception set on failure. */
+static PyObject *
+event_attr(PyObject *ev, Py_ssize_t off, const char *name)
+{
+    PyObject *v;
+
+    if (!PyObject_TypeCheck(ev, (PyTypeObject *)g_event_cls))
+        return PyObject_GetAttrString(ev, name);
+    v = slot_get(ev, off, name);
+    Py_XINCREF(v);
+    return v;
+}
+
+/* `if ev.seq != entry[1]: heappush(heap, (ev.time, ev.seq, fn, args,
+ * ev))` — an event postponed in place goes back under its current key.
+ * 1 re-pushed, 0 key still current, -1 error. */
+static int
+rekey_postponed(PyObject *heap, PyObject *entry, PyObject *ev)
+{
+    PyObject *seq, *tm, *fresh;
+    int stale, r;
+
+    seq = event_attr(ev, o_ev_seq, "seq");
+    if (seq == NULL)
+        return -1;
+    stale = PyObject_RichCompareBool(seq, PyTuple_GET_ITEM(entry, 1), Py_NE);
+    if (stale <= 0) {
+        Py_DECREF(seq);
+        return stale;
+    }
+    tm = event_attr(ev, o_ev_time, "time");
+    if (tm == NULL) {
+        Py_DECREF(seq);
+        return -1;
+    }
+    fresh = PyTuple_Pack(5, tm, seq, PyTuple_GET_ITEM(entry, 2),
+                         PyTuple_GET_ITEM(entry, 3), ev);
+    Py_DECREF(tm);
+    Py_DECREF(seq);
+    if (fresh == NULL)
+        return -1;
+    r = heap_push(heap, fresh);
+    Py_DECREF(fresh);
+    return r == 0 ? 1 : -1;
+}
+
 static PyObject *
 c_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwargs)
 {
@@ -764,6 +817,15 @@ c_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwargs)
         PyErr_SetString(g_sim_error, "run() is not reentrant");
         return NULL;
     }
+    if (budget < 0 && max_events != Py_None) {
+        PyObject *msg = PyUnicode_FromFormat(
+            "bad max_events %R: must be >= 0", max_events);
+        if (msg != NULL) {
+            PyErr_SetObject(g_sim_error, msg);
+            Py_DECREF(msg);
+        }
+        return NULL;
+    }
     slot_set(self, o_running, Py_True);
 
     /* Everything below must flow through the `finally` tail. */
@@ -798,6 +860,8 @@ c_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwargs)
         Py_ssize_t width;
         int cmp;
 
+        if (processed == budget)
+            break;
         entry = heap_pop(heap);
         if (entry == NULL) {
             failed = 1;
@@ -835,6 +899,16 @@ c_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwargs)
                 }
                 if (cmp) {
                     Py_DECREF(entry);
+                    continue;
+                }
+                /* postponed in place: re-key, don't dispatch */
+                cmp = rekey_postponed(heap, entry, ev);
+                if (cmp != 0) {
+                    Py_DECREF(entry);
+                    if (cmp < 0) {
+                        failed = 1;
+                        break;
+                    }
                     continue;
                 }
             }
@@ -906,8 +980,6 @@ c_run(PyObject *Py_UNUSED(mod), PyObject *args, PyObject *kwargs)
         }
         Py_DECREF(res);
         processed++;
-        if (processed == budget)
-            break;
     }
 
     /* if until is not None and self.now < until: self.now = until */
@@ -1025,6 +1097,8 @@ c_setup(PyObject *Py_UNUSED(mod), PyObject *args)
         (o_heap = slot_offset(sim_cls, "_heap")) < 0 ||
         (o_horizon = slot_offset(sim_cls, "_horizon")) < 0 ||
         (o_ninline = slot_offset(sim_cls, "_ninline")) < 0 ||
+        (o_ev_time = slot_offset(event_cls, "time")) < 0 ||
+        (o_ev_seq = slot_offset(event_cls, "seq")) < 0 ||
         (o_ev_cancelled = slot_offset(event_cls, "cancelled")) < 0 ||
         (o_ev_fired = slot_offset(event_cls, "fired")) < 0)
         return NULL;

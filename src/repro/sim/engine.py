@@ -41,8 +41,10 @@ never reaches the third element (``seq`` is unique), which removes the
 per-comparison Python call that used to dominate profiles.
 Single-argument callbacks dispatch as a direct ``fn(arg)`` instead of
 ``fn(*args)``, no :class:`Event` handle is allocated unless the caller
-can cancel, and back-to-back link departures bypass the heap entirely
-via :meth:`Simulator.advance_if_clear`.
+can cancel, a timer pushed later (TCP's RTO, restarted on every ACK)
+moves in place via :meth:`Simulator.postpone`, and back-to-back
+link departures bypass the heap entirely via
+:meth:`Simulator.advance_if_clear`.
 :meth:`Simulator.schedule`, :meth:`Simulator.schedule_fire` and
 :meth:`Simulator.schedule_at` are deliberately flat (no delegation
 between them) for the same reason.
@@ -92,10 +94,13 @@ class Event:
 
     Events order by ``(time, seq)``; ``seq`` is a monotonically
     increasing counter that breaks ties deterministically.  Cancellation is
-    lazy: the event is flagged and skipped when popped.  The heap itself
-    never compares :class:`Event` objects (the engine keys its heap on
-    tuples), so ``__lt__`` below exists only for explicit comparisons in
-    user code and tests — the hot path never calls it.
+    lazy: the event is flagged and skipped when popped.  So is
+    postponement (:meth:`Simulator.postpone`): the event's own
+    ``(time, seq)`` moves, and its heap entry, still under the old key,
+    is re-keyed when popped.  The heap itself never compares
+    :class:`Event` objects (the engine keys its heap on tuples), so
+    ``__lt__`` below exists only for explicit comparisons in user code
+    and tests — the hot path never calls it.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "_sim")
@@ -237,6 +242,39 @@ class Simulator:
         if event is not None:
             event.cancel()
 
+    def postpone(self, event: Event, delay: float) -> Event:
+        """Re-arm pending *event* to fire *delay* seconds from now.
+
+        Behaves exactly like ``event.cancel()`` followed by
+        ``schedule(delay, event.fn, *event.args)`` — the same dispatch
+        order, one sequence number consumed, ``pending()`` unchanged —
+        and returns the handle to keep.  When the new deadline is not
+        earlier than the old one (a retransmission timer restarted on
+        every ACK), the event moves in place: it takes the new
+        ``(time, seq)`` and is returned itself, with no allocation and
+        no heap push.  Its heap entry keeps the old key until popped,
+        when the run loop re-pushes it under the new key without
+        dispatching or counting it.  An earlier deadline cannot reuse
+        the entry, so it cancels and schedules a fresh event.
+
+        *event* must belong to this simulator and be neither fired nor
+        cancelled; *delay* follows :meth:`schedule`'s rules.  Both
+        raise :class:`SimulationError` otherwise.
+        """
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"bad delay {delay!r}: must be finite and >= 0")
+        if event.cancelled or event.fired or event._sim is not self:
+            raise SimulationError(f"cannot postpone {event!r}: not pending here")
+        time = self.now + delay
+        if time < event.time:
+            event.cancel()
+            return self.schedule(delay, event.fn, *event.args)
+        seq = self._seq
+        self._seq = seq + 1
+        event.time = time
+        event.seq = seq
+        return event
+
     def pending(self) -> int:
         """Number of live (non-cancelled, not-yet-fired) events — O(1)."""
         return self._live
@@ -267,8 +305,9 @@ class Simulator:
         """Live events as ``(time, seq, fn, args, event)`` 5-tuples.
 
         Engine-neutral view of the event list for snapshot diagnostics and
-        integrity checks: cancelled-but-unpopped entries are excluded, and
-        ``event`` is ``None`` for fire-and-forget callbacks.  The returned
+        integrity checks: cancelled-but-unpopped entries are excluded, a
+        postponed event appears under its current key, and ``event`` is
+        ``None`` for fire-and-forget callbacks.  The returned
         list is ordered by heap layout, not sorted; only its key multiset
         is meaningful.
         """
@@ -296,9 +335,11 @@ class Simulator:
         untouched): lazy cancellation means a popped cancelled entry is
         skipped without side effects, so the purge cannot change the
         continuation — and it keeps a cancelled entry's possibly-
-        unpicklable callback from blocking the snapshot.  Pop order
-        depends only on the ``(time, seq)`` key multiset, so re-heapifying
-        the filtered list is exact.
+        unpicklable callback from blocking the snapshot.  An event
+        postponed in place is exported under its current key, the key the
+        run loop would re-push it under when popped.  Pop order depends
+        only on the ``(time, seq)`` key multiset, so re-heapifying the
+        filtered list is exact.
         """
         from ..snapshot.errors import SnapshotError
 
@@ -466,11 +507,15 @@ class ArraySimulator(Simulator):
             Stop once the next event would fire strictly after this time;
             ``sim.now`` is left at ``until``.  ``None`` runs to exhaustion.
         max_events:
-            Safety valve for tests; stop after this many events.  Setting
-            it disables inline batching so every dispatch is countable.
+            Safety valve for tests; stop after this many events (``0``
+            dispatches nothing; a negative value raises
+            :class:`SimulationError`).  Setting it disables inline
+            batching so every dispatch is countable.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"bad max_events {max_events!r}: must be >= 0")
         self._running = True
         processed = 0
         profiler = self.profiler
@@ -485,6 +530,8 @@ class ArraySimulator(Simulator):
             self._horizon = horizon
         try:
             while heap:
+                if processed == budget:
+                    break
                 entry = heappop(heap)
                 if len(entry) == 4:
                     time = entry[0]
@@ -499,8 +546,14 @@ class ArraySimulator(Simulator):
                         profiler.dispatch(entry[2], (entry[3],))
                 else:
                     ev = entry[4]
-                    if ev is not None and ev.cancelled:
-                        continue
+                    if ev is not None:
+                        if ev.cancelled:
+                            continue
+                        if ev.seq != entry[1]:
+                            # postponed in place: re-key, don't dispatch
+                            heapq.heappush(heap, (ev.time, ev.seq, entry[2],
+                                                  entry[3], ev))
+                            continue
                     time = entry[0]
                     if time > horizon:
                         heapq.heappush(heap, entry)
@@ -514,8 +567,6 @@ class ArraySimulator(Simulator):
                     else:
                         profiler.dispatch(entry[2], entry[3])
                 processed += 1
-                if processed == budget:
-                    break
             if until is not None and self.now < until:
                 self.now = until
         finally:
@@ -552,14 +603,22 @@ class ArraySimulator(Simulator):
         for entry in self._heap:
             if len(entry) == 4:
                 out.append((entry[0], entry[1], entry[2], (entry[3],), None))
-            elif entry[4] is None or not entry[4].cancelled:
+                continue
+            ev = entry[4]
+            if ev is None:
                 out.append(entry)
+            elif not ev.cancelled:
+                # a postponed event exports its current key
+                out.append(entry if ev.seq == entry[1]
+                           else (ev.time, ev.seq, entry[2], entry[3], ev))
         return out
 
     def _export_heap(self) -> List[_CanonicalEntry]:
+        # Dropped cancelled entries and re-keyed postponed ones both break
+        # the heap invariant; on an intact heap with unique keys heapify
+        # moves nothing, so the export of an untouched heap is unchanged.
         live = self.live_entries()
-        if len(live) != len(self._heap):
-            heapq.heapify(live)
+        heapq.heapify(live)
         return live
 
     def __setstate__(self, state: Dict[str, Any]) -> None:

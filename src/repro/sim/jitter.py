@@ -59,3 +59,17 @@ class JitterLink(Link):
         self._last_arrival = max(self._last_arrival, arrival)
         self.sim.schedule_at(arrival, self.dst.receive, pkt)
         self._start_next()
+
+    def _start_next(self) -> None:
+        sim = self.sim
+        pkt = self.qdisc.dequeue(sim.now)
+        if pkt is None:
+            self._busy = False
+            return
+        size = pkt.size
+        tx_time = self._ser_time.get(size)
+        if tx_time is None:
+            tx_time = size * 8.0 / self.bandwidth
+            self._ser_time[size] = tx_time
+        self.busy_time += tx_time
+        sim.schedule_fire1(tx_time, self._tx_done, pkt)

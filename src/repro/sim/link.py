@@ -87,19 +87,55 @@ class Link:
 
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> None:
-        """Offer *pkt* to this link's queue and kick the transmitter."""
-        accepted = self.qdisc.enqueue(pkt, self.sim.now)
-        if accepted and not self._busy:
-            self._start_next()
+        """Offer *pkt* to this link's queue; start sending it if idle.
 
-    def _start_next(self) -> None:
+        A busy link only enqueues.  On an idle link, admission and the
+        start of transmission are one step: ``enqueue``, then ``dequeue``
+        of the head packet.  For a plain tail-drop FIFO (see
+        ``QueueDiscipline._passthrough``) that is empty and has no
+        ``obs`` attached, the pair is inlined without the deque round
+        trip.  An empty FIFO always admits (capacity is at least one
+        packet and no byte bound applies), so the inlined pair makes the
+        same ``QueueStats`` updates as the two calls; the queue-length
+        integral would gain ``0 * dt``, so only its clock advances.  An
+        ``enqueue``/``dequeue`` assigned on the queue instance (a test
+        spy) keeps every packet on the two-call path.
+        """
         sim = self.sim
-        pkt = self.qdisc.dequeue(sim.now)
-        if pkt is None:
-            self._busy = False
+        now = sim.now
+        qdisc = self.qdisc
+        if self._busy:
+            qdisc.enqueue(pkt, now)
             return
+        passthrough = False
+        if (qdisc._plain_admit and qdisc._passthrough and not qdisc._buf
+                and qdisc.obs is None):
+            # An enqueue/dequeue assigned on the instance shadows the
+            # bound method; a plain-function spy has no __func__ at all.
+            try:
+                passthrough = (qdisc.enqueue.__func__ is QueueDiscipline.enqueue
+                               and qdisc.dequeue.__func__ is QueueDiscipline.dequeue)
+            except AttributeError:
+                pass
+        if passthrough:
+            stats = qdisc.stats
+            if now > stats._last_change:
+                stats._last_change = now
+            stats.arrivals += 1
+            stats.enqueues += 1
+            stats.departures += 1
+            size = pkt.size
+            stats.bytes_in += size
+            stats.bytes_out += size
+            pkt.enqueue_time = now
+        else:
+            if not qdisc.enqueue(pkt, now):
+                return
+            pkt = qdisc.dequeue(now)
+            if pkt is None:
+                return
+            size = pkt.size
         self._busy = True
-        size = pkt.size
         tx_time = self._ser_time.get(size)
         if tx_time is None:
             tx_time = size * 8.0 / self.bandwidth
@@ -111,7 +147,8 @@ class Link:
         """Complete *pkt*'s transmission, then drain the queue in a batch.
 
         Each iteration is one departure: counters, the propagation-delay
-        hand-off to the destination, and the dequeue of the next packet.
+        hand-off to the destination, and the dequeue of the next packet
+        (not called on an empty FIFO, where it has nothing to return).
         When the engine can prove no other event intercedes before the
         next departure (``sim.advance_if_clear``), the chain continues
         inline — no heap push/pop, no run-loop iteration — which is the
@@ -123,28 +160,27 @@ class Link:
         """
         sim = self.sim
         qdisc = self.qdisc
-        dst_receive = self.dst.receive
-        delay = self.delay
-        ser_memo = self._ser_time
-        schedule1 = sim.schedule_fire1
-        advance_if_clear = sim.advance_if_clear
         while True:
             self.bytes_transmitted += pkt.size
             self.packets_transmitted += 1
             if self.obs is not None:
                 self.obs.link_tx(self, sim.now)
-            schedule1(delay, dst_receive, pkt)
+            sim.schedule_fire1(self.delay, self.dst.receive, pkt)
+            if not qdisc._buf:
+                self._busy = False
+                return
             pkt = qdisc.dequeue(sim.now)
             if pkt is None:
                 self._busy = False
                 return
-            tx_time = ser_memo.get(pkt.size)
+            size = pkt.size
+            tx_time = self._ser_time.get(size)
             if tx_time is None:
-                tx_time = pkt.size * 8.0 / self.bandwidth
-                ser_memo[pkt.size] = tx_time
+                tx_time = size * 8.0 / self.bandwidth
+                self._ser_time[size] = tx_time
             self.busy_time += tx_time
-            if not advance_if_clear(sim.now + tx_time):
-                schedule1(tx_time, self._tx_done, pkt)
+            if not sim.advance_if_clear(sim.now + tx_time):
+                sim.schedule_fire1(tx_time, self._tx_done, pkt)
                 return
 
     # ------------------------------------------------------------------

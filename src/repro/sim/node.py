@@ -84,7 +84,20 @@ class Node:
         link.send(pkt)
 
     def send(self, pkt: Packet) -> None:
-        """Inject a locally generated packet into the network."""
+        """Inject a locally generated packet into the network.
+
+        A routed packet goes straight to its next-hop link, counted as
+        :meth:`receive` counts it; local or unroutable destinations take
+        :meth:`receive` itself.
+        """
+        dst = pkt.dst
+        if dst != self.node_id:
+            link = self.routes.get(dst)
+            if link is not None:
+                pkt.hops += 1
+                self.packets_forwarded += 1
+                link.send(pkt)
+                return
         self.receive(pkt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -72,6 +72,9 @@ class QueueDiscipline:
 
     Subclasses override :meth:`admit` to implement AQM.  ``admit`` returns
     one of ``"enqueue"``, ``"mark"`` (enqueue with CE set) or ``"drop"``.
+    Every packet waits in ``_buf``, and :meth:`dequeue` returns ``None``
+    exactly when ``_buf`` is empty; the link relies on this and does not
+    call :meth:`dequeue` on an empty FIFO.
     """
 
     # No __slots__ here: queues are per-link (a handful per simulation),
@@ -79,9 +82,10 @@ class QueueDiscipline:
     # override ``enqueue``/``dequeue`` on individual instances to spy on
     # traffic — which needs an instance __dict__.
 
-    #: class-attribute fallback for snapshots written before the flag
+    #: class-attribute fallbacks for snapshots written before the flags
     #: existed: restored instances take the slow (always-correct) path
     _plain_admit = False
+    _passthrough = False
 
     def __init__(self, capacity_pkts: int,
                  capacity_bytes: Optional[int] = None) -> None:
@@ -94,7 +98,17 @@ class QueueDiscipline:
         # that assigns ``admit`` on an *instance* must also set
         # ``self._plain_admit = False`` (class-level overrides are
         # detected here automatically).
-        self._plain_admit = type(self).admit is QueueDiscipline.admit
+        cls = type(self)
+        self._plain_admit = cls.admit is QueueDiscipline.admit
+        # Link.send's idle pass-through inlines enqueue() + dequeue(), so
+        # a class-level override of either opts out, as does a byte bound
+        # (it can refuse a packet even into an empty FIFO).  Link.send
+        # checks for instance-level overrides (test spies) itself.
+        self._passthrough = (
+            cls.enqueue is QueueDiscipline.enqueue
+            and cls.dequeue is QueueDiscipline.dequeue
+            and capacity_bytes is None
+        )
         self.capacity = capacity_pkts
         #: optional additional byte bound (ns-2's byte-mode queues)
         self.capacity_bytes = capacity_bytes

@@ -243,11 +243,15 @@ class TcpSender:
         if not pkt.is_ack or self.done:
             return
         rtt_sample = self._process_ack_seq(pkt)
-        self._process_sack(pkt)
+        # Both guarded calls are no-ops without SACK blocks (the
+        # loss-free steady state) or without an application limit.
+        if pkt.sack_blocks:
+            self._process_sack(pkt)
         if self.ecn and pkt.ece:
             self._ecn_response()
         self.on_ack(pkt, rtt_sample)
-        self._check_complete()
+        if self.app_limit is not None:
+            self._check_complete()
         self._try_send()
         if self.obs is not None:
             self.obs.sender_ack(self, self.sim.now)
@@ -289,7 +293,7 @@ class TcpSender:
                 for _ in range(n_newly_acked):
                     self._increase_on_ack()
             if self.high_water > self.cum_ack:
-                self._arm_rtx_timer(restart=True)
+                self._arm_rtx_timer(True)
             else:
                 self._cancel_rtx_timer()
         elif pkt.ack_seq == self.cum_ack and self.high_water > self.cum_ack:
@@ -392,11 +396,15 @@ class TcpSender:
         self.rto = min(MAX_RTO, max(MIN_RTO, self.srtt + 4.0 * self.rttvar))
 
     def _arm_rtx_timer(self, restart: bool = False) -> None:
-        if restart:
-            self._cancel_rtx_timer()
-        if self._rtx_timer is None:
-            delay = min(MAX_RTO, self.rto * self._backoff)
+        timer = self._rtx_timer
+        if timer is not None and not restart:
+            return
+        delay = min(MAX_RTO, self.rto * self._backoff)
+        if timer is None:
             self._rtx_timer = self.sim.schedule(delay, self._on_timeout)
+        else:
+            # cancel + reschedule; in place when the deadline moves later
+            self._rtx_timer = self.sim.postpone(timer, delay)
 
     def _cancel_rtx_timer(self) -> None:
         if self._rtx_timer is not None:
@@ -502,7 +510,8 @@ class TcpSink:
         else:
             self.dup_pkts += 1
         if not self.delack or not in_order or pkt.ce or self.out_of_order:
-            self._flush_delack()
+            if self._delack_pending is not None:
+                self._flush_delack()
             self._send_ack(pkt)
             return
         # delayed-ACK path: hold the first in-order segment, ack the second

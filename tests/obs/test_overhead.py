@@ -1,8 +1,8 @@
 """Guard: disabled instrumentation must cost <5% on the hot path.
 
 The baseline monkeypatches the per-packet hook-bearing methods
-(``QueueDiscipline.enqueue``/``dequeue``, ``Link._tx_done``) with copies
-stripped of their ``obs`` hook sites, then times the same fixed-seed
+(``QueueDiscipline.enqueue``/``dequeue``, ``Link.send``/``_tx_done``)
+with copies stripped of their ``obs`` hook sites, then times the same fixed-seed
 dumbbell both ways.  The two runs must also produce *identical* results —
 if the stripped copies ever drift from the real methods, the equality
 assertion fails before the timing comparison can mislead anyone.
@@ -71,16 +71,76 @@ def _plain_dequeue(self, now):
     return pkt
 
 
+def _plain_send(self, pkt):
+    sim = self.sim
+    now = sim.now
+    qdisc = self.qdisc
+    if self._busy:
+        qdisc.enqueue(pkt, now)
+        return
+    passthrough = False
+    if qdisc._plain_admit and qdisc._passthrough and not qdisc._buf:
+        try:
+            passthrough = (qdisc.enqueue.__func__ is QueueDiscipline.enqueue
+                           and qdisc.dequeue.__func__ is QueueDiscipline.dequeue)
+        except AttributeError:
+            pass
+    if passthrough:
+        stats = qdisc.stats
+        if now > stats._last_change:
+            stats._last_change = now
+        stats.arrivals += 1
+        stats.enqueues += 1
+        stats.departures += 1
+        size = pkt.size
+        stats.bytes_in += size
+        stats.bytes_out += size
+        pkt.enqueue_time = now
+    else:
+        if not qdisc.enqueue(pkt, now):
+            return
+        pkt = qdisc.dequeue(now)
+        if pkt is None:
+            return
+        size = pkt.size
+    self._busy = True
+    tx_time = self._ser_time.get(size)
+    if tx_time is None:
+        tx_time = size * 8.0 / self.bandwidth
+        self._ser_time[size] = tx_time
+    self.busy_time += tx_time
+    sim.schedule_fire1(tx_time, self._tx_done, pkt)
+
+
 def _plain_tx_done(self, pkt):
-    self.bytes_transmitted += pkt.size
-    self.packets_transmitted += 1
-    self.sim.schedule_fire(self.delay, self.dst.receive, pkt)
-    self._start_next()
+    sim = self.sim
+    qdisc = self.qdisc
+    while True:
+        self.bytes_transmitted += pkt.size
+        self.packets_transmitted += 1
+        sim.schedule_fire1(self.delay, self.dst.receive, pkt)
+        if not qdisc._buf:
+            self._busy = False
+            return
+        pkt = qdisc.dequeue(sim.now)
+        if pkt is None:
+            self._busy = False
+            return
+        size = pkt.size
+        tx_time = self._ser_time.get(size)
+        if tx_time is None:
+            tx_time = size * 8.0 / self.bandwidth
+            self._ser_time[size] = tx_time
+        self.busy_time += tx_time
+        if not sim.advance_if_clear(sim.now + tx_time):
+            sim.schedule_fire1(tx_time, self._tx_done, pkt)
+            return
 
 
 _PATCHES = [
     (QueueDiscipline, "enqueue", _plain_enqueue),
     (QueueDiscipline, "dequeue", _plain_dequeue),
+    (Link, "send", _plain_send),
     (Link, "_tx_done", _plain_tx_done),
 ]
 

@@ -169,3 +169,111 @@ def test_array_and_compiled_dispatch_identically(delays, data):
         return rec.hits, sim.events_processed, sim.now, sim._seq
 
     assert run(ArraySimulator) == run(CompiledSimulator)
+
+
+# ---- postpone: in-place re-keying against cancel + reschedule ---------
+class ClockedRecorder:
+    """Fire log of ``(now, tag)`` pairs; picklable with its simulator."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.hits = []
+
+    def hit(self, tag):
+        self.hits.append((self.sim.now, tag))
+
+
+#: coarse delays so postponed deadlines often tie with other events
+coarse = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.25)
+timer_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), coarse),
+        st.tuples(st.just("cancel"), st.integers(0, 40)),
+        st.tuples(st.just("postpone"), st.integers(0, 40), coarse),
+        st.tuples(st.just("advance"), coarse),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def drive_timers(engine, script, in_place, snap_at=None):
+    """Apply *script*, re-arming with postpone() or cancel + schedule.
+
+    Returns the fire log and ``(_seq, pending(), events_processed,
+    now)`` after every step and after a final run to exhaustion.  With
+    *snap_at*, the simulator is pickled and restored before that step.
+    """
+    sim = engine(seed=0)
+    rec = ClockedRecorder(sim)
+    events = []
+    states = []
+    for k, op in enumerate(script):
+        if k == snap_at:
+            root = pickle.loads(pickle.dumps(
+                {"sim": sim, "rec": rec, "events": events}))
+            sim, rec, events = root["sim"], root["rec"], root["events"]
+        kind = op[0]
+        if kind == "schedule":
+            events.append(sim.schedule(op[1], rec.hit, len(events)))
+        elif kind == "advance":
+            sim.run(until=sim.now + op[1])
+        elif events:
+            i = op[1] % len(events)
+            ev = events[i]
+            if ev.fired or ev.cancelled:
+                continue
+            if kind == "cancel":
+                ev.cancel()
+            elif in_place:
+                events[i] = sim.postpone(ev, op[2])
+            else:
+                ev.cancel()
+                events[i] = sim.schedule(op[2], ev.fn, *ev.args)
+        states.append((sim._seq, sim.pending(), sim.events_processed, sim.now))
+    sim.run()
+    states.append((sim._seq, sim.pending(), sim.events_processed, sim.now))
+    return rec.hits, states
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@given(script=timer_ops)
+@settings(max_examples=80)
+def test_postpone_matches_cancel_and_reschedule(engine, script):
+    """Dispatch order, _seq, pending() and events_processed all agree."""
+    assert (drive_timers(engine, script, in_place=True)
+            == drive_timers(engine, script, in_place=False))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@given(script=timer_ops, data=st.data())
+@settings(max_examples=50)
+def test_snapshot_with_postponed_timers_continues_identically(engine, script, data):
+    """A checkpoint taken between steps, stale heap keys included,
+    restores and continues exactly like the straight-through run."""
+    snap_at = data.draw(st.integers(0, len(script) - 1))
+    assert (drive_timers(engine, script, in_place=True, snap_at=snap_at)
+            == drive_timers(engine, script, in_place=True))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_snapshot_while_postponed_timer_pending(engine):
+    """The timer's heap entry still carries its old deadline (5.0) when
+    the snapshot is taken; the restored run fires it at 7.0 all the same."""
+    script = [("schedule", 5.0), ("schedule", 6.0), ("advance", 1.0),
+              ("postpone", 0, 6.0), ("advance", 0.5), ("advance", 10.0)]
+    straight = drive_timers(engine, script, in_place=True)
+    assert straight[0] == [(6.0, 1), (7.0, 0)]
+    assert drive_timers(engine, script, in_place=True, snap_at=4) == straight
+
+
+@pytest.mark.skipif(
+    not COMPILED_AVAILABLE,
+    reason="compiled extension not built (python -m repro.compiled.build): "
+           "no second engine to compare the array engine against",
+)
+@given(script=timer_ops)
+@settings(max_examples=50)
+def test_array_and_compiled_postpone_identically(script):
+    """The C run loop re-keys postponed entries exactly as the pure one."""
+    assert (drive_timers(ArraySimulator, script, in_place=True)
+            == drive_timers(CompiledSimulator, script, in_place=True))

@@ -88,15 +88,73 @@ def test_events_scheduled_during_run_execute():
     assert sim.now == 3.0
 
 
-def test_max_events_limit():
+@pytest.mark.parametrize(
+    "max_events, expected",
+    [(10, 10), (0, 0), (-1, SimulationError)],
+    ids=["ten", "zero", "negative"],
+)
+def test_max_events_limit(max_events, expected):
     sim = Simulator()
 
     def loop():
         sim.schedule(0.1, loop)
 
     sim.schedule(0.0, loop)
-    sim.run(max_events=10)
-    assert sim.events_processed == 10
+    if expected is SimulationError:
+        with pytest.raises(SimulationError):
+            sim.run(max_events=max_events)
+        assert not sim._running
+        expected = 0
+    else:
+        sim.run(max_events=max_events)
+    assert sim.events_processed == expected
+    assert sim.pending() == 1
+
+
+def test_postpone_later_moves_the_event_in_place():
+    sim = Simulator()
+    fired = []
+    ev = sim.schedule(1.0, fired.append, "timer")
+    seq_before = sim._seq
+    assert sim.postpone(ev, 2.0) is ev
+    assert (ev.time, ev.seq) == (2.0, seq_before)
+    assert sim._seq == seq_before + 1
+    assert sim.pending() == 1
+    sim.run(until=1.5)
+    assert fired == [] and sim.events_processed == 0
+    sim.run()
+    assert fired == ["timer"] and sim.now == 2.0
+    assert sim.events_processed == 1 and sim.pending() == 0
+
+
+def test_postpone_earlier_cancels_and_reschedules():
+    sim = Simulator()
+    fired = []
+    ev = sim.schedule(5.0, fired.append, "timer")
+    new = sim.postpone(ev, 1.0)
+    assert new is not ev and ev.cancelled
+    assert new.time == 1.0 and sim.pending() == 1
+    sim.run()
+    assert fired == ["timer"] and sim.now == 1.0
+    assert sim.events_processed == 1
+
+
+def test_postpone_rejects_dead_events_and_bad_delays():
+    sim = Simulator()
+    other = Simulator()
+    ev = sim.schedule(1.0, lambda: None)
+    for delay in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(SimulationError):
+            sim.postpone(ev, delay)
+    with pytest.raises(SimulationError):
+        other.postpone(ev, 2.0)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.postpone(ev, 2.0)  # fired
+    ev2 = sim.schedule(1.0, lambda: None)
+    ev2.cancel()
+    with pytest.raises(SimulationError):
+        sim.postpone(ev2, 2.0)
 
 
 def test_pending_counts_live_events():

@@ -7,7 +7,9 @@ from repro.sim.link import Link
 from repro.sim.node import Node
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
-from repro.sim.topology import Network
+from repro.sim.queues.base import QueueStats
+from repro.sim.topology import Dumbbell, Network
+from repro.tcp.base import connect_flow
 
 
 class Collector:
@@ -135,3 +137,114 @@ def test_bfs_routes_prefer_fewest_hops():
     net.connect(nodes[3], nodes[0], 1e6, 0.001)
     net.compute_routes()
     assert nodes[0].routes[nodes[3].node_id].dst is nodes[3]
+
+
+# ---- idle-link admit-and-send ----------------------------------------
+def _dumbbell_counters(force_two_call):
+    """Every link and queue counter of a lossy two-flow dumbbell run."""
+    sim = Simulator(seed=3)
+    db = Dumbbell(sim, n_left=2, n_right=2, bottleneck_bw=4e6,
+                  bottleneck_delay=0.01,
+                  qdisc_fwd=lambda: DropTailQueue(8),
+                  qdisc_rev=lambda: DropTailQueue(8))
+    if force_two_call:
+        for link in db.net.links:
+            link.qdisc._passthrough = False
+    for i in range(2):
+        sender, _ = connect_flow(sim, db.left[i], db.right[i], flow_id=i)
+        sender.start(at=0.01 * i)
+    sim.run(until=3.0)
+    out = [sim.events_processed, sim._seq, db.fwd.qdisc.stats.drops]
+    for link in db.net.links:
+        qdisc = link.qdisc
+        out.append((link.bytes_transmitted, link.packets_transmitted,
+                    link.busy_time, qdisc.stats.mean_queue(sim.now, len(qdisc)))
+                   + tuple(getattr(qdisc.stats, f) for f in QueueStats.__slots__))
+    return out
+
+
+def test_idle_passthrough_matches_two_call_path():
+    """The inlined tail-drop pass-through leaves every counter, the queue
+    integral and the event count exactly as enqueue + dequeue would."""
+    fast = _dumbbell_counters(force_two_call=False)
+    assert fast == _dumbbell_counters(force_two_call=True)
+    assert fast[2] > 0  # the bottleneck overflowed
+    assert all(row[1] > 0 for row in fast[3:])  # every link carried traffic
+
+
+def test_instance_spies_see_every_packet_on_an_idle_link():
+    sim = Simulator()
+    a, b, link = two_nodes(sim, bw=8e6, delay=0.001)
+    sink = Collector(sim)
+    b.register_endpoint(5, sink)
+    qdisc = link.qdisc
+    seen = {"enqueue": [], "dequeue": []}
+    enqueue, dequeue = qdisc.enqueue, qdisc.dequeue
+
+    def spy_enqueue(pkt, now):
+        seen["enqueue"].append(pkt.seq)
+        return enqueue(pkt, now)
+
+    def spy_dequeue(now):
+        pkt = dequeue(now)
+        if pkt is not None:
+            seen["dequeue"].append(pkt.seq)
+        return pkt
+
+    qdisc.enqueue = spy_enqueue
+    qdisc.dequeue = spy_dequeue
+    # 10 ms apart on a 1 ms transmitter: the link is idle at every arrival
+    for i in range(5):
+        sim.schedule(0.01 * i, a.send, Packet(flow_id=5, src=0, dst=1, size=1000, seq=i))
+    sim.run()
+    assert seen == {"enqueue": list(range(5)), "dequeue": list(range(5))}
+    assert [seq for _, seq in sink.seen] == list(range(5))
+
+
+def test_subclass_override_sees_every_packet_on_an_idle_link():
+    class CountingQueue(DropTailQueue):
+        def __init__(self, cap):
+            super().__init__(cap)
+            self.offered = []
+
+        def enqueue(self, pkt, now):
+            self.offered.append(pkt.seq)
+            return super().enqueue(pkt, now)
+
+    sim = Simulator()
+    a, b = Node(sim, 0), Node(sim, 1)
+    link = Link(sim, a, b, bandwidth=8e6, delay=0.001, qdisc=CountingQueue(5))
+    a.add_route(1, link)
+    b.register_endpoint(5, Collector(sim))
+    assert not link.qdisc._passthrough
+    for i in range(3):
+        sim.schedule(0.01 * i, a.send, Packet(flow_id=5, src=0, dst=1, seq=i))
+    sim.run()
+    assert link.qdisc.offered == [0, 1, 2]
+
+
+def test_byte_bound_refuses_oversized_packet_on_an_idle_link():
+    sim = Simulator()
+    a, b = Node(sim, 0), Node(sim, 1)
+    q = DropTailQueue(5, capacity_bytes=500)
+    link = Link(sim, a, b, bandwidth=8e6, delay=0.001, qdisc=q)
+    a.add_route(1, link)
+    sink = Collector(sim)
+    b.register_endpoint(5, sink)
+    sim.schedule(0.0, a.send, Packet(flow_id=5, src=0, dst=1, size=1000, seq=0))
+    sim.schedule(0.1, a.send, Packet(flow_id=5, src=0, dst=1, size=400, seq=1))
+    sim.run()
+    assert q.stats.forced_drops == 1 and q.stats.arrivals == 2
+    assert [seq for _, seq in sink.seen] == [1]
+
+
+def test_node_send_counts_like_receive():
+    sim = Simulator()
+    a, b, link = two_nodes(sim)
+    b.register_endpoint(5, Collector(sim))
+    pkt = Packet(flow_id=5, src=0, dst=1, seq=0)
+    a.send(pkt)
+    a.send(Packet(flow_id=5, src=0, dst=99))  # no route
+    sim.run()
+    assert (a.packets_forwarded, a.packets_unroutable) == (1, 1)
+    assert (b.packets_delivered, pkt.hops) == (1, 2)
