@@ -16,7 +16,7 @@ product, with a floor of twice the number of flows.
 
 The run is phased — resolve parameters, build, warm up, measure — with
 the live objects carried between phases in a :class:`_DumbbellState`.
-That split is what makes runs checkpointable: when the executor installs
+That split is what makes runs checkpointable: when the fleet worker installs
 a checkpoint slot (:mod:`repro.snapshot.runtime`), the state object is
 snapshotted together with the simulator at periodic boundaries, and a
 retried attempt resumes from the last checkpoint instead of starting

@@ -81,15 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _open_fleet(args: argparse.Namespace) -> Fleet:
     """Build the :class:`Fleet` an invocation addresses."""
-    kwargs = {}
-    if getattr(args, "ttl", None) is not None:
-        kwargs["ttl"] = args.ttl
-    if getattr(args, "checkpoint", None) is not None:
-        kwargs["checkpoint"] = args.checkpoint
-    if getattr(args, "max_attempts", None) is not None:
-        kwargs["max_attempts"] = args.max_attempts
     return Fleet(args.root, store=args.store,
-                 bus=False if args.no_bus else None, **kwargs)
+                 bus=False if args.no_bus else None,
+                 ttl=getattr(args, "ttl", DEFAULT_TTL),
+                 checkpoint=getattr(args, "checkpoint", None),
+                 max_attempts=getattr(args, "max_attempts",
+                                      DEFAULT_MAX_ATTEMPTS))
 
 
 def _load_jobs(source: str) -> List[tuple]:

@@ -192,10 +192,7 @@ class Journal:
 
     def read_all(self) -> List[Dict[str, Any]]:
         """Full replay from byte zero, independent of the read position."""
-        fresh = Journal.__new__(Journal)
-        fresh.root, fresh.path, fresh.lock_path = self.root, self.path, self.lock_path
-        fresh._lock_fd, fresh._offset, fresh._tail = None, 0, b""
-        return fresh.read_new()
+        return Journal(self.root).read_new()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Journal path={self.path} offset={self._offset}>"

@@ -4,13 +4,17 @@ State machine (every arrow is one durable journal operation)::
 
                  submit                lease
     (unknown) ──────────▶  pending ──────────▶  leased
-                             ▲  ▲                 │ │ │
-               requeue       │  │    requeue      │ │ └─ renew (loops)
-       (attempts remain) ────┘  └─────────────────┘ │
-                                (lease expired /    │
-                                 worker failure)    │ done / failed
-                                                    ▼
+                                ▲                 │ │ │
+                                │    requeue      │ │ └─ renew (loops)
+                                └─────────────────┘ │
+                             (attempt raised, worker│
+                              died or timed out, or │ done / failed
+                              lease expired — while │
+                              attempts remain)      ▼
                                            done  /  failed (terminal)
+
+A failed attempt, however it failed, takes one path: requeue while the
+job has attempts left, else ``failed`` with the attempt's error.
 
 Invariants the tests in ``tests/fleet`` pin down:
 
@@ -20,7 +24,9 @@ Invariants the tests in ``tests/fleet`` pin down:
 * **Lease expiry requeues, never loses** — a worker that vanishes
   (``kill -9``) simply stops renewing; once ``expires`` passes,
   :meth:`JobQueue.requeue_expired` makes the job pending again (or
-  terminally failed once ``max_attempts`` leases have been burned).
+  terminally failed once ``max_attempts`` leases have been burned).  A
+  scheduler that *sees* its worker die need not wait for expiry:
+  :meth:`JobQueue.release` gives the dead worker's leases up at once.
 * **At-least-once is safe** — an expired-but-alive "zombie" worker may
   still finish its run; its ``done`` is accepted whatever the current
   state, because results are content-addressed and deterministic.
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -65,24 +71,10 @@ class JobState:
     state: str = "pending"
     worker: Optional[str] = None
     expires: Optional[float] = None
+    leased_at: Optional[float] = None  # wall time of the current lease
     attempts: int = 0  # leases burned so far
     error: Optional[str] = None
     store: Optional[str] = None  # "fresh" | "hit" once done
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    def summary(self) -> Dict[str, Any]:
-        """JSON-clean per-job record for ``status --json`` and tests."""
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "sweep": self.sweep,
-            "priority": self.priority,
-            "state": self.state,
-            "worker": self.worker,
-            "attempts": self.attempts,
-            "error": self.error,
-            "store": self.store,
-        }
 
 
 class JobQueue:
@@ -138,6 +130,7 @@ class JobQueue:
             job.state = "leased"
             job.worker = rec["worker"]
             job.expires = float(rec["expires"])
+            job.leased_at = float(rec["ts"])
             job.attempts += 1
         elif op == "renew":
             if job.state == "leased" and job.worker == rec["worker"]:
@@ -248,16 +241,20 @@ class JobQueue:
             job = self.jobs.get(key)
             if job is None or job.state in ("done", "failed"):
                 return job.state if job is not None else "failed"
-            if job.attempts < self.max_attempts:
-                self.journal.append(
-                    "requeue", key=key, reason=f"attempt failed: {error[:200]}",
-                )
-            else:
-                self.journal.append(
-                    "failed", key=key, worker=worker, error=error[:500],
-                )
+            self._retire(job, worker, error)
             self.sync()
             return job.state
+
+    def release(self, worker: str, error: str) -> List[JobState]:
+        """Give up every lease *worker* holds, as failed attempts.
+
+        For a worker the caller knows is gone (reaped after a crash, or
+        killed for overrunning its timeout): its jobs are requeued — or
+        failed with *error* once their attempts are spent — right away,
+        instead of after the lease TTL.  Returns the released jobs.
+        """
+        return self._retire_leases(lambda job: job.worker == worker,
+                                   lambda job: error)
 
     def requeue_expired(self, *, now: Optional[float] = None) -> List[str]:
         """Return expired leases to pending (the dead-worker recovery).
@@ -266,28 +263,30 @@ class JobQueue:
         failed instead of looping through doomed leases forever.
         """
         now = time.time() if now is None else now
-        recovered: List[str] = []
+        expired = self._retire_leases(
+            lambda job: job.expires is not None and job.expires <= now,
+            lambda job: f"lease expired after {job.attempts} attempts")
+        return [job.key for job in expired]
+
+    def _retire_leases(self, match, error_of) -> List[JobState]:
+        """Retire every leased job that *match*es, with ``error_of(job)``."""
         with self.journal.locked():
             self.sync()
-            expired = [
-                job for job in self.jobs.values()
-                if job.state == "leased" and job.expires is not None
-                and job.expires <= now
-            ]
-            for job in expired:
-                if job.attempts >= self.max_attempts:
-                    self.journal.append(
-                        "failed", key=job.key, worker=job.worker,
-                        error=f"lease expired after {job.attempts} attempts",
-                    )
-                else:
-                    self.journal.append(
-                        "requeue", key=job.key, reason="lease_expired",
-                    )
-                recovered.append(job.key)
-            if expired:
+            held = [job for job in self.jobs.values()
+                    if job.state == "leased" and match(job)]
+            for job in held:
+                self._retire(job, job.worker, error_of(job))
+            if held:
                 self.sync()
-        return recovered
+        return held
+
+    def _retire(self, job: JobState, worker: Optional[str], error: str) -> None:
+        """Journal the end of one failed attempt (caller holds the lock)."""
+        if job.attempts < self.max_attempts:
+            self.journal.append("requeue", key=job.key, reason=error[:200])
+        else:
+            self.journal.append("failed", key=job.key, worker=worker,
+                                error=error[:500])
 
     # ------------------------------------------------------------------
     # queries (read-only; sync() first for freshness)

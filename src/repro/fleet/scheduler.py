@@ -6,8 +6,9 @@
   store (a point finished by *any* earlier sweep is acknowledged as a
   store hit without ever reaching a worker), journal the rest;
 * :meth:`Fleet.drain` — run workers (in-process, or a
-  :class:`~repro.fleet.transport.LocalTransport` process pool with
-  bounded respawn of dead workers) until every job is terminal;
+  :class:`~repro.fleet.transport.LocalTransport` process pool that
+  releases a dead or overdue worker's lease at once and respawns it)
+  until every job is terminal;
 * :meth:`Fleet.resume` — requeue expired leases and drain; this is the
   whole crash-recovery story, because the journal replay plus the store
   already encode everything else;
@@ -19,28 +20,33 @@ A fleet directory is self-describing::
     <root>/journal.jsonl   operation log (the queue)
     <root>/journal.lock    writer mutex (flock)
     <root>/store/          content-addressed results (ResultCache layout)
-    <root>/events.jsonl    telemetry bus (fleet_* + per-job events)
+    <root>/events.jsonl    telemetry bus (fleet_* + job_* events)
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..obs.bus import EventBus
 from ..runner.spec import JobSpec
 from .queue import DEFAULT_MAX_ATTEMPTS, DEFAULT_TTL, JobQueue
 from .store import ResultStore
 from .transport import LocalTransport
-from .worker import FleetWorker, resolve_fleet_bus
+from .worker import FleetWorker, emit_attempt_failed, resolve_fleet_bus
 
 __all__ = ["SubmitReceipt", "Fleet", "resolve_fleet"]
 
 #: environment variable naming a default fleet directory (CLI / sweeps)
 FLEET_ENV = "REPRO_FLEET"
+
+#: wall seconds between ``fleet_queue`` snapshots (and progress calls)
+#: while a worker pool drains
+_STATUS_EVERY = 1.0
 
 
 @dataclass
@@ -95,6 +101,11 @@ class Fleet:
         self.checkpoint = checkpoint
         self.max_attempts = int(max_attempts)
         self.bus_path = resolve_fleet_bus(self.root, bus)
+        # fleet_* events describe this directory, so only a bus kept in
+        # it gets them; run_jobs's throwaway fleet writes its job_*
+        # events to the bus next to the cache and no queue events
+        self._queue_events = (self.bus_path is not None
+                              and self.bus_path.parent == self.root)
         self.queue = JobQueue(self.root, max_attempts=max_attempts)
         self._sweep_counter = 0
 
@@ -103,33 +114,40 @@ class Fleet:
                sweep: Optional[str] = None, priority: int = 0) -> SubmitReceipt:
         """Enqueue *jobs* (specs or ``(kind, params)`` pairs) as one sweep.
 
-        Dedupe happens here, not in workers: a job whose content key is
-        already present in the store is journaled and immediately
+        Dedupe happens here, not in workers: a job whose content key
+        already has a valid store entry is journaled and immediately
         acknowledged ``done(store="hit")``, so drains converge without
-        touching it.  Re-submitting an in-flight sweep is idempotent by
-        key (counted in ``known``), which is how a crashed *submitter*
-        recovers: just run the same submit again.
+        touching it (a corrupt entry is a miss and gets recomputed).
+        Re-submitting an in-flight sweep is idempotent by key (counted
+        in ``known``), which is how a crashed *submitter* recovers: just
+        run the same submit again.  Every point served without running
+        is published as ``job_cached``.
         """
         if sweep is None:
             sweep = self._fresh_sweep_name()
         receipt = SubmitReceipt(sweep=sweep)
-        for item in jobs:
-            spec = item if isinstance(item, JobSpec) else JobSpec(*item)
-            key = spec.cache_key
-            receipt.keys.append(key)
-            fresh = self.queue.submit(key, spec.kind, dict(spec.params),
-                                      sweep=sweep, priority=priority)
-            if not fresh:
-                receipt.known += 1
-                continue
-            if self.store.contains(spec):
-                self.queue.done(key, "scheduler", store="hit")
-                receipt.deduped += 1
-            else:
-                receipt.submitted += 1
-        self._emit("fleet_submitted", sweep=sweep, jobs=len(receipt.keys),
-                   deduped=receipt.deduped)
-        self._emit_queue()
+        with self._bus() as live:
+            for item in jobs:
+                spec = item if isinstance(item, JobSpec) else JobSpec(*item)
+                key = spec.cache_key
+                receipt.keys.append(key)
+                fresh = self.queue.submit(key, spec.kind, dict(spec.params),
+                                          sweep=sweep, priority=priority)
+                if not fresh:
+                    receipt.known += 1
+                    hit = self.queue.jobs[key].state == "done"
+                elif self.store.get(spec) is not None:
+                    self.queue.done(key, "scheduler", store="hit")
+                    receipt.deduped += 1
+                    hit = True
+                else:
+                    receipt.submitted += 1
+                    hit = False
+                if hit and live is not None:
+                    live.emit("job_cached", key=key)
+            self._publish(live, "fleet_submitted", sweep=sweep,
+                          jobs=len(receipt.keys), deduped=receipt.deduped)
+            self._publish(live, "fleet_queue", **self.queue.counts())
         return receipt
 
     def _fresh_sweep_name(self) -> str:
@@ -139,89 +157,131 @@ class Fleet:
                 f"-{self._sweep_counter}")
 
     # ------------------------------------------------------------------
-    def drain(self, *, workers: int = 0, max_respawns: Optional[int] = None,
-              poll: float = 0.1, status_every: float = 1.0) -> Dict[str, int]:
+    def drain(self, *, workers: int = 0, timeout: Optional[float] = None,
+              on_update: Optional[Callable[[], None]] = None) -> Dict[str, int]:
         """Run workers until every job is terminal; returns final counts.
 
         ``workers=0`` drains in-process (serial, debuggable — the exact
-        worker loop, same telemetry).  ``workers=N`` launches a
-        :class:`LocalTransport` pool; workers that die (crash, OOM,
-        ``kill -9``) are detected by reaping and respawned up to
-        *max_respawns* times (default ``4 * workers``) — their expired
-        leases requeue via the normal TTL path either way.  While
-        draining, a ``fleet_queue`` depth snapshot is emitted every
-        *status_every* seconds for the live dashboard.
+        worker loop, same telemetry; *timeout* needs a process to kill
+        and is ignored).  ``workers=N`` launches a :class:`LocalTransport`
+        pool and sleeps on the workers' exit sentinels.  A worker that
+        dies (crash, OOM, ``kill -9``) is reaped and its lease released
+        at once — requeued, or failed with ``worker crashed without
+        result (exit code N)`` — and a replacement is started; a lease
+        held longer than *timeout* seconds gets its worker killed and
+        fails or requeues with ``timed out after {timeout}s``.  Leases
+        of workers outside this pool still recover by TTL expiry.
+
+        *on_update* is called whenever ``self.queue`` has been synced
+        with the journal: after every in-process job, else on each wake
+        (a worker exit, an overdue lease, or every ``_STATUS_EVERY``).
         """
-        if workers <= 0:
-            worker = FleetWorker(
-                self.root, store=self.store, ttl=self.ttl,
-                checkpoint=self.checkpoint, bus=self._bus_arg(),
-                max_attempts=self.max_attempts,
-            )
-            worker.run(exit_when_drained=True)
-            self.queue.sync()
-            self._emit_queue()
-            return self.queue.counts()
-        if max_respawns is None:
-            max_respawns = 4 * workers
-        transport = self.transport()
-        transport.start(workers)
-        respawned = 0
-        last_status = 0.0
-        try:
-            while True:
-                self.queue.requeue_expired()
-                self.queue.sync()
-                now = time.monotonic()
-                if now - last_status >= status_every:
-                    self._emit_queue()
-                    last_status = now
-                if self.queue.drained():
-                    break
-                dead = transport.reap()
-                if dead:
-                    want = min(len(dead), max(0, max_respawns - respawned))
-                    if want:
-                        transport.start(want)
-                        respawned += want
-                    elif not transport.alive():
-                        # every worker is gone and the respawn budget is
-                        # spent: let TTL expiry fail the stuck leases
-                        # rather than spin forever on an undrainable queue
-                        expired = self.queue.requeue_expired()
-                        if self.queue.drained() or (
-                                not expired and not self.queue.counts()["leased"]
-                                and not self.queue.counts()["pending"]):
-                            break
-                        transport.start(1)
-                        respawned += 1
-                time.sleep(poll)
-        finally:
-            transport.stop()
-        self.queue.sync()
-        self._emit_queue()
+        with self._bus() as live:
+            if workers <= 0:
+                worker = FleetWorker(self.root, **self._worker_kwargs())
+                self._publish(live, "fleet_worker", worker=worker.worker_id,
+                              state="started")
+                try:
+                    worker.run(on_job=lambda: self._update(on_update))
+                finally:
+                    self._publish(live, "fleet_worker",
+                                  worker=worker.worker_id, state="exited")
+            else:
+                self._drain_pool(workers, timeout, on_update, live)
+            self._update(on_update)
+            self._publish(live, "fleet_queue", **self.queue.counts())
         return self.queue.counts()
 
-    def resume(self, *, workers: int = 0, **drain_kwargs) -> Dict[str, int]:
-        """Recover after a crash: requeue expired leases, then drain.
+    def _drain_pool(self, workers: int, timeout: Optional[float],
+                    on_update, live: Optional[EventBus]) -> None:
+        """The ``workers=N`` drain loop (see :meth:`drain`)."""
+        transport = self.transport()
+        # respawns for workers that died holding no lease; a death that
+        # held one burns that job's attempt, so those are bounded already
+        spare = 4 * workers
+        next_status = 0.0
+        try:
+            while True:
+                self._update(on_update)
+                counts = self.queue.counts()
+                todo = counts["pending"] + counts["leased"]
+                if not todo:
+                    return
+                if time.monotonic() >= next_status:
+                    self._publish(live, "fleet_queue", **counts)
+                    next_status = time.monotonic() + _STATUS_EVERY
+                wake = _STATUS_EVERY
+                if timeout is not None:
+                    wake = min(wake, self._kill_overdue(transport, timeout, live))
+                for wid in transport.reap():
+                    code = transport.exitcodes[wid]
+                    self._publish(live, "fleet_worker", worker=wid,
+                                  state="exited")
+                    if not self._release(
+                            wid, f"worker crashed without result (exit code {code})",
+                            live):
+                        spare -= 1
+                want = min(workers, todo) - len(transport.procs)
+                if want > 0 and spare >= 0:
+                    for wid in transport.start(want):
+                        self._publish(live, "fleet_worker", worker=wid,
+                                      state="started")
+                elif not transport.procs:
+                    return  # no workers and no respawns left: give up
+                transport.wait(wake)
+        finally:
+            for wid in list(transport.procs):
+                self._publish(live, "fleet_worker", worker=wid, state="exited")
+            transport.stop()
 
-        Nothing else is needed — journal replay reconstructs the queue,
-        finished points are store hits, and half-finished points resume
-        from their :mod:`repro.snapshot` checkpoints inside the workers.
-        """
-        for key in self.queue.requeue_expired():
-            self._emit("fleet_requeued", key=key, reason="lease_expired")
+    def _kill_overdue(self, transport: LocalTransport, timeout: float,
+                      live: Optional[EventBus]) -> float:
+        """Kill pool workers whose lease outlived *timeout*; returns the
+        wall seconds until the next lease of the pool falls due."""
+        now = time.time()
+        wake = timeout
+        for job in list(self.queue.jobs.values()):
+            if job.state != "leased" or job.worker not in transport.procs:
+                continue
+            left = job.leased_at + timeout - now
+            if left <= 0:
+                transport.kill(job.worker)
+                self._publish(live, "fleet_worker", worker=job.worker,
+                              state="killed")
+                self._release(job.worker, f"timed out after {timeout}s", live)
+            else:
+                wake = min(wake, left)
+        return max(wake, 0.01)
+
+    def _release(self, worker: str, error: str,
+                 live: Optional[EventBus]) -> list:
+        """Release a gone worker's leases and publish each failed attempt."""
+        released = self.queue.release(worker, error)
+        if live is not None:
+            for job in released:
+                emit_attempt_failed(live, job, error)
+        return released
+
+    def _update(self, on_update) -> None:
+        self.queue.sync()
+        if on_update is not None:
+            on_update()
+
+    def resume(self, *, workers: int = 0, **drain_kwargs) -> Dict[str, int]:
+        """Recover after a crash: requeue expired leases, then drain — the
+        journal replays the queue, finished points are store hits, and
+        half-finished points resume from their checkpoints."""
+        self.queue.requeue_expired()
         return self.drain(workers=workers, **drain_kwargs)
 
-    def transport(self, **worker_kwargs) -> LocalTransport:
+    def transport(self) -> LocalTransport:
         """A :class:`LocalTransport` preloaded with this fleet's defaults."""
-        kwargs = dict(
-            store=str(self.store.root), ttl=self.ttl,
-            checkpoint=self.checkpoint, bus=self._bus_arg(),
-            max_attempts=self.max_attempts,
-        )
-        kwargs.update(worker_kwargs)
-        return LocalTransport(str(self.root), **kwargs)
+        return LocalTransport(str(self.root), **self._worker_kwargs())
+
+    def _worker_kwargs(self) -> Dict[str, Any]:
+        """What every worker of this fleet is built with."""
+        return dict(store=self.store, ttl=self.ttl, checkpoint=self.checkpoint,
+                    bus=self.bus_path or False, max_attempts=self.max_attempts)
 
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
@@ -280,25 +340,19 @@ class Fleet:
         return out
 
     # ------------------------------------------------------------------
-    def _bus_arg(self):
-        """The ``bus=`` value workers should inherit (path or ``False``)."""
-        return self.bus_path if self.bus_path is not None else False
+    def _publish(self, live: Optional[EventBus], etype: str, **fields) -> None:
+        """Emit one ``fleet_*`` event on this directory's own bus."""
+        if live is not None and self._queue_events:
+            live.emit(etype, **fields)
 
-    def _emit(self, event_type: str, **fields) -> None:
-        """Emit one scheduler-side bus event (no-op when the bus is off)."""
+    @contextmanager
+    def _bus(self) -> Iterator[Optional[EventBus]]:
+        """This fleet's bus for one scheduler call (``None`` when off)."""
         if self.bus_path is None:
+            yield None
             return
-        bus = EventBus(self.bus_path, job=None)
-        try:
-            bus.emit(event_type, **fields)
-        finally:
-            bus.close()
-
-    def _emit_queue(self) -> None:
-        """Emit a ``fleet_queue`` depth snapshot for the dashboard."""
-        if self.bus_path is None:
-            return
-        self._emit("fleet_queue", **self.queue.counts())
+        with EventBus(self.bus_path, job=None) as live:
+            yield live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Fleet root={self.root} {self.queue.counts()}>"

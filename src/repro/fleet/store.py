@@ -4,19 +4,20 @@ The store *is* a :class:`repro.runner.cache.ResultCache` — same on-disk
 layout (``<root>/<key[:2]>/<key>.json``), same atomic writes, same
 content-addressed keys (:func:`repro.runner.spec.content_key`) — plus
 the accounting the fleet's zero-recomputation guarantee is asserted
-against: explicit hit/miss/put counters and a ``contains`` probe.
+against: explicit hit/miss/put counters.
 
 Because the layout and keying are shared, a fleet store can literally be
 pointed at an existing runner cache directory (or several fleet
 directories at one shared store): any point finished by *any* sweep —
 runner or fleet, yesterday or today — is a store hit, not a recompute.
-The kill-tolerance tests and the CI ``fleet-smoke`` job compare these
+The kill-tolerance tests and the CI ``jobs-smoke`` job compare these
 counters (and store file hashes) across a killed-and-resumed run to
 prove that finished points are never simulated twice.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -26,22 +27,17 @@ from ..runner.spec import JobSpec
 __all__ = ["StoreStats", "ResultStore"]
 
 
+@dataclass
 class StoreStats:
     """Monotone counters for one process's view of a store."""
 
-    __slots__ = ("hits", "misses", "puts")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
+    hits: int = 0
+    misses: int = 0
+    puts: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """JSON-clean counter dict (for status payloads and bus events)."""
-        return {"hits": self.hits, "misses": self.misses, "puts": self.puts}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<StoreStats hits={self.hits} misses={self.misses} puts={self.puts}>"
+        return asdict(self)
 
 
 class ResultStore(ResultCache):
@@ -71,10 +67,6 @@ class ResultStore(ResultCache):
         """Counted :meth:`ResultCache.put`."""
         self.stats.puts += 1
         return super().put(spec, payload, meta=meta)
-
-    def contains(self, spec: JobSpec) -> bool:
-        """Uncounted existence probe (submit-time dedupe peeks cheaply)."""
-        return self.path_for(spec).exists()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ResultStore root={self.root} {self.stats!r}>"

@@ -1,57 +1,44 @@
-"""Worker transports: how the scheduler turns "N workers" into processes.
+"""Worker processes: how the scheduler turns "N workers" into processes.
 
-The scheduler is deliberately ignorant of *where* workers run; it talks
-to a :class:`Transport` — start N workers, tell me who died, stop — and
-everything else (leases, results, telemetry) flows through the shared
-on-disk fabric (journal + store + bus), which any machine that can see
-the directory can join.  :class:`LocalTransport` is the multi-process
-implementation shipped today; a multi-host backend (SSH, a container
-scheduler, ...) would implement the same four methods and change nothing
-else, because workers coordinate exclusively through the filesystem
-fabric, never through the scheduler process.
+The scheduler only starts, reaps, kills and stops workers; everything
+else (leases, results, telemetry) flows through the shared on-disk
+fabric (journal + store + bus), never through the scheduler process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional
 
-from ..runner.executor import _mp_context
 from .worker import work_loop
 
-__all__ = ["Transport", "LocalTransport"]
+__all__ = ["LocalTransport"]
 
 
-class Transport:
-    """Minimal contract between the scheduler and a worker backend."""
+def _mp_context():
+    """Fork where available (fast, inherits runtime registrations).
 
-    def start(self, n: int, **worker_kwargs) -> List[str]:
-        """Launch *n* workers; returns their worker ids."""
-        raise NotImplementedError
-
-    def alive(self) -> List[str]:
-        """Ids of workers currently running."""
-        raise NotImplementedError
-
-    def reap(self) -> List[str]:
-        """Collect and return ids of workers that exited since last call."""
-        raise NotImplementedError
-
-    def stop(self) -> None:
-        """Terminate every remaining worker (idempotent)."""
-        raise NotImplementedError
+    ``$REPRO_MP_START`` forces a start method (``spawn``, ``forkserver``).
+    """
+    method = os.environ.get("REPRO_MP_START", "").strip() or None
+    if method is None and "fork" in multiprocessing.get_all_start_methods():
+        method = "fork"
+    return multiprocessing.get_context(method)
 
 
-class LocalTransport(Transport):
-    """Workers as local processes (fork where available, like the runner).
+class LocalTransport:
+    """Workers as local processes (fork where available).
 
     Each worker process runs :func:`repro.fleet.worker.work_loop` against
     the fleet directory and exits when the queue drains.  Worker death —
-    crash, ``kill -9``, OOM — is detected by :meth:`reap`; recovery is
-    the queue's job (lease expiry), respawn policy the scheduler's.
+    crash, ``kill -9``, OOM — is detected by :meth:`reap`, which keeps
+    the exit code in :attr:`exitcodes`; what happens to the dead
+    worker's leases is the scheduler's call.
 
     The live process handles are exposed as :attr:`procs` so the
-    kill-tolerance tests (and the CI ``fleet-smoke`` job) can SIGKILL
+    kill-tolerance tests (and the CI ``jobs-smoke`` job) can SIGKILL
     real workers mid-flight.
     """
 
@@ -61,21 +48,24 @@ class LocalTransport(Transport):
         self.root = root
         self.worker_defaults = dict(worker_defaults)
         self.procs: Dict[str, multiprocessing.process.BaseProcess] = {}
+        self.exitcodes: Dict[str, Optional[int]] = {}
         self._ctx = _mp_context()
         self._counter = 0
 
-    def start(self, n: int, **worker_kwargs) -> List[str]:
-        """Spawn *n* worker processes; returns their worker ids."""
-        kwargs = dict(self.worker_defaults)
-        kwargs.update(worker_kwargs)
+    def start(self, n: int) -> List[str]:
+        """Spawn *n* worker processes; returns their worker ids.
+
+        Ids carry this process's pid, so two schedulers draining one
+        fleet never share a worker id (leases are released by id).
+        """
         started: List[str] = []
         for _ in range(n):
-            worker_id = f"local-{self._counter}"
+            worker_id = f"local-{os.getpid()}-{self._counter}"
             self._counter += 1
             proc = self._ctx.Process(
                 target=work_loop,
                 args=(self.root, worker_id),
-                kwargs=kwargs,
+                kwargs=self.worker_defaults,
                 daemon=True,
                 name=f"repro-fleet-{worker_id}",
             )
@@ -88,15 +78,28 @@ class LocalTransport(Transport):
         """Worker ids whose processes are still running."""
         return [wid for wid, p in self.procs.items() if p.is_alive()]
 
+    def wait(self, timeout: Optional[float]) -> None:
+        """Block until some worker exits or *timeout* seconds pass."""
+        wait([p.sentinel for p in self.procs.values()], timeout)
+
     def reap(self) -> List[str]:
         """Join and drop exited workers; returns the newly-dead ids."""
         dead: List[str] = []
         for wid, proc in list(self.procs.items()):
             if not proc.is_alive():
                 proc.join()
+                self.exitcodes[wid] = proc.exitcode
                 del self.procs[wid]
                 dead.append(wid)
         return dead
+
+    def kill(self, worker_id: str) -> None:
+        """SIGKILL and drop one worker (the scheduler's timeout
+        enforcement); unlike a death, it is not reported by :meth:`reap`."""
+        proc = self.procs.pop(worker_id, None)
+        if proc is not None:
+            proc.kill()
+            proc.join()
 
     def stop(self) -> None:
         """Terminate (then kill) every remaining worker process."""

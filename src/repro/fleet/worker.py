@@ -6,17 +6,17 @@ from the same priority-ordered queue — an idle worker automatically
 picks up whatever sweep has runnable points, whichever process submitted
 it.
 
-One leased job runs exactly like a :mod:`repro.runner` job attempt, by
-construction from the same pieces:
+:meth:`FleetWorker.run_one` is the only code that runs a job attempt —
+:func:`repro.runner.run_jobs` drains its jobs through it too.  One
+attempt is assembled from:
 
 * :func:`repro.obs.runtime.observe_job` + the bus heartbeat thread, so
-  fleet jobs publish the same phase/heartbeat telemetry the dashboard
-  already renders;
+  jobs publish phase/heartbeat telemetry and the ``job_*`` lifecycle
+  events the dashboard renders;
 * :func:`repro.snapshot.runtime.checkpoint_scope` over a checkpoint
-  file stored *next to the result's store entry* — a worker killed
-  mid-point leaves its checkpoint behind, the lease expires, and the
-  next worker to lease the point **resumes from the checkpoint instead
-  of restarting it** (bit-identically, per the snapshot guarantee);
+  file *next to the result's store entry* — the next worker to lease a
+  killed point **resumes from the checkpoint instead of restarting it**
+  (bit-identically, per the snapshot guarantee);
 * a lease-renewal daemon thread (its own :class:`JobQueue` instance, so
   it never races the main loop's state) that extends the lease every
   ``ttl/3`` seconds while the simulation runs.
@@ -33,12 +33,14 @@ import os
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from ..obs.bus import BUS_FILENAME, EventBus, bus_scope, heartbeat_loop
+from ..obs.manifest import build_manifest, write_manifest
 from ..obs.runtime import observe_job
-from ..runner.executor import record_observation
+from ..obs.trace import write_trace
 from ..runner.registry import resolve_job
 from ..runner.spec import JobSpec
 from ..snapshot.runtime import checkpoint_scope
@@ -92,41 +94,33 @@ class FleetWorker:
         self.bus_path = resolve_fleet_bus(self.root, bus)
         self.queue = JobQueue(self.root, max_attempts=max_attempts)
         self._renew_queue = JobQueue(self.root, max_attempts=max_attempts)
-        self.jobs_run = 0
 
     # ------------------------------------------------------------------
-    def run(self, *, exit_when_drained: bool = True,
-            max_jobs: Optional[int] = None, poll: float = _IDLE_POLL) -> int:
+    def run(self, *, on_job: Optional[Callable[[], None]] = None) -> int:
         """Lease and execute jobs until the queue drains; returns jobs run.
 
-        ``exit_when_drained=False`` keeps the worker parked on an empty
-        queue (a long-running service worker awaiting future submits);
-        ``max_jobs`` bounds the loop for tests.
+        ``on_job`` is called after every job (the in-process drain
+        reports progress there).
         """
         live = EventBus(self.bus_path, job=None) if self.bus_path else None
-        if live is not None:
-            live.emit("fleet_worker", worker=self.worker_id, state="started")
+        jobs_run = 0
         try:
-            while max_jobs is None or self.jobs_run < max_jobs:
+            while True:
                 self.queue.requeue_expired()
                 job = self.queue.lease(self.worker_id, ttl=self.ttl)
                 if job is None:
                     self.queue.sync()
-                    if exit_when_drained and self.queue.drained():
-                        break
-                    time.sleep(poll)
+                    if self.queue.drained():
+                        return jobs_run
+                    time.sleep(_IDLE_POLL)
                     continue
-                if live is not None:
-                    live.emit("fleet_leased", key=job.key,
-                              worker=self.worker_id, expires=job.expires,
-                              attempt=job.attempts)
                 self.run_one(job, live)
-                self.jobs_run += 1
+                jobs_run += 1
+                if on_job is not None:
+                    on_job()
         finally:
             if live is not None:
-                live.emit("fleet_worker", worker=self.worker_id, state="exited")
                 live.close()
-        return self.jobs_run
 
     # ------------------------------------------------------------------
     def run_one(self, job: JobState, live: Optional[EventBus] = None) -> None:
@@ -142,9 +136,12 @@ class FleetWorker:
         if entry is not None:
             self.queue.done(job.key, self.worker_id, store="hit")
             if live is not None:
-                live.emit("fleet_done", key=job.key, worker=self.worker_id,
-                          store="hit")
+                live.emit("job_cached", key=job.key)
             return
+        if live is not None:
+            live.emit("job_started", key=job.key, kind=job.kind,
+                      scheme=job.params.get("scheme"),
+                      seed=job.params.get("seed"), attempt=job.attempts)
         ckpt_path = (self.store.checkpoint_path_for(spec)
                      if self.checkpoint else None)
         t0 = time.monotonic()
@@ -157,14 +154,9 @@ class FleetWorker:
                 payload = resolve_job(job.kind)(dict(job.params))
         except Exception as exc:  # noqa: BLE001 - isolate any job failure
             error = f"{type(exc).__name__}: {exc}"
-            state = self.queue.fail(job.key, self.worker_id, error)
+            self.queue.fail(job.key, self.worker_id, error)
             if live is not None:
-                if state == "failed":
-                    live.emit("fleet_failed", key=job.key,
-                              worker=self.worker_id, error=error[:500])
-                else:
-                    live.emit("fleet_requeued", key=job.key,
-                              reason=f"attempt failed: {error[:200]}")
+                emit_attempt_failed(live, job, error)
             return
         obs_meta = obs.finish()
         if slot is not None:
@@ -177,15 +169,18 @@ class FleetWorker:
             "wall_time": time.monotonic() - t0,
             "attempts": job.attempts,
         }
+        if isinstance(obs_meta.get("peak_rss_kb"), int):
+            meta["peak_rss_kb"] = obs_meta["peak_rss_kb"]
         self.store.put(spec, payload, meta=meta)
         record_observation(self.store, spec, meta, payload, obs_meta)
         self.queue.done(job.key, self.worker_id, store="fresh")
         if live is not None:
-            live.emit("fleet_done", key=job.key, worker=self.worker_id,
-                      store="fresh")
+            live.emit("job_finished", key=job.key, wall_time=meta["wall_time"],
+                      events=meta["events"], attempts=job.attempts)
 
     # ------------------------------------------------------------------
-    def _renewing(self, key: str):
+    @contextmanager
+    def _renewing(self, key: str) -> Iterator[None]:
         """Context: renew the lease on *key* every ``ttl/3`` wall seconds.
 
         Runs on a daemon thread with its own queue instance (its journal
@@ -208,17 +203,12 @@ class FleetWorker:
 
         thread = threading.Thread(target=loop, name="repro-fleet-renew",
                                   daemon=True)
-
-        class _Scope:
-            def __enter__(self_inner):
-                thread.start()
-                return self_inner
-
-            def __exit__(self_inner, exc_type, exc, tb):
-                stop.set()
-                thread.join(timeout=2.0)
-
-        return _Scope()
+        thread.start()
+        try:
+            yield
+        finally:
+            stop.set()
+            thread.join(timeout=2.0)
 
 
 def _events_of(payload: Any) -> int:
@@ -230,23 +220,52 @@ def _events_of(payload: Any) -> int:
     return 0
 
 
-def work_loop(root: Union[str, Path], worker_id: Optional[str] = None, *,
-              store: Optional[Union[str, Path]] = None,
-              ttl: float = DEFAULT_TTL,
-              checkpoint: Optional[float] = None,
-              bus=None,
-              max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-              exit_when_drained: bool = True,
-              max_jobs: Optional[int] = None) -> int:
+def emit_attempt_failed(live: EventBus, job: JobState, error: str) -> None:
+    """Publish a failed attempt: ``job_failed`` if it was the job's last
+    (the job is now ``failed``), else ``job_retried``."""
+    if job.state == "failed":
+        live.emit("job_failed", key=job.key, error=error[:500],
+                  attempts=job.attempts)
+    else:
+        live.emit("job_retried", key=job.key, attempt=job.attempts)
+
+
+def record_observation(store, spec, meta, payload, obs_meta) -> None:
+    """Persist the job's run manifest (and trace) next to its store entry.
+
+    Manifest writes are best-effort: a full disk or permission hiccup on
+    the forensic record must not fail a job whose payload already landed.
+    """
+    obs_meta = dict(obs_meta) if obs_meta else {}
+    trace_records = obs_meta.pop("trace_records", None)
+    trace_file = None
+    try:
+        if trace_records is not None:
+            trace_path = store.trace_path_for(spec)
+            write_trace(trace_path, trace_records)
+            trace_file = trace_path.name
+        manifest = build_manifest(
+            key=spec.cache_key,
+            kind=spec.kind,
+            params=spec.params,
+            wall_time=meta["wall_time"],
+            events=meta["events"],
+            attempts=meta["attempts"],
+            payload=payload,
+            obs_meta=obs_meta,
+            trace_file=trace_file,
+        )
+        write_manifest(store.manifest_path_for(spec), manifest)
+    except OSError:  # pragma: no cover - disk trouble
+        pass
+
+
+def work_loop(root: Union[str, Path], worker_id: str, **worker_kwargs) -> int:
     """Module-level worker entry point (picklable for spawn-start processes).
 
-    Builds a :class:`FleetWorker` over *root* and runs it; this is what
+    Builds a :class:`FleetWorker` over *root* with *worker_kwargs* and
+    runs it until the queue drains; this is what
     :class:`~repro.fleet.transport.LocalTransport` launches in each
-    worker process, and what a future multi-host transport would invoke
-    on remote machines.
+    worker process.
     """
-    worker = FleetWorker(
-        root, store=store, worker_id=worker_id, ttl=ttl,
-        checkpoint=checkpoint, bus=bus, max_attempts=max_attempts,
-    )
-    return worker.run(exit_when_drained=exit_when_drained, max_jobs=max_jobs)
+    return FleetWorker(root, worker_id=worker_id, **worker_kwargs).run()

@@ -12,7 +12,7 @@ timeline.
 
 Transport
 ---------
-Every process — the scheduling parent and each one-shot worker — opens
+Every process — the scheduling parent and each worker — opens
 the same file with ``O_APPEND`` and emits each event as a **single
 ``os.write`` of one newline-terminated JSON line**.  POSIX guarantees
 append-mode writes of this size land atomically at end-of-file, so
@@ -46,18 +46,17 @@ Schema v1 event types and their payload fields (beyond ``v``/``type``/
 ``phase_finished``  ``key, phase, seconds``
 ``heartbeat``       ``key, sim_now, events, sched, peak_rss_kb``
 ``fleet_submitted`` ``sweep, jobs, deduped`` (store hits at submit)
-``fleet_leased``    ``key, worker, expires, attempt``
-``fleet_requeued``  ``key, reason`` (lease expiry / failed attempt)
-``fleet_done``      ``key, worker, store`` (``fresh`` or ``hit``)
-``fleet_failed``    ``key, worker, error`` (attempt budget exhausted)
 ``fleet_worker``    ``worker, state`` (``started``/``exited``/``killed``)
-``fleet_queue``     ``pending, leased, done, failed`` (+ ``store``)
+``fleet_queue``     ``pending, leased, done, failed``
 ==================  ==================================================
 
-The ``fleet_*`` family is published by :mod:`repro.fleet` workers and
-schedulers over the same file: ``fleet_queue`` is a periodic whole-queue
-depth snapshot (what the dashboard's queue chips render), the rest are
-per-transition records mirroring the fleet journal.
+Every job runs on :mod:`repro.fleet`, so one vocabulary covers all
+runs: workers publish the ``job_*`` lifecycle of the jobs they lease,
+submit-time store hits are ``job_cached``.  The ``fleet_*`` family
+describes the queue and the workers a drain starts, reaps and kills,
+not any one job: ``fleet_queue`` is a periodic whole-queue depth
+snapshot (what the dashboard's queue chips render).  The throwaway
+fleet behind a plain ``run_jobs`` call publishes no ``fleet_*`` events.
 
 ``heartbeat.sched`` is the simulator's monotone event sequence counter —
 a live proxy for work done that the hot loop already maintains, so
@@ -115,12 +114,8 @@ EVENT_TYPES: Dict[str, tuple] = {
     "phase_started": ("key", "phase"),
     "phase_finished": ("key", "phase", "seconds"),
     "heartbeat": ("key", "sim_now", "events", "sched", "peak_rss_kb"),
-    # fleet (repro.fleet) lifecycle — mirrors the fleet journal
+    # fleet (repro.fleet) queue and workers
     "fleet_submitted": ("sweep", "jobs", "deduped"),
-    "fleet_leased": ("key", "worker", "expires", "attempt"),
-    "fleet_requeued": ("key", "reason"),
-    "fleet_done": ("key", "worker", "store"),
-    "fleet_failed": ("key", "worker", "error"),
     "fleet_worker": ("worker", "state"),
     "fleet_queue": ("pending", "leased", "done", "failed"),
 }

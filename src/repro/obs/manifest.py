@@ -1,8 +1,8 @@
 """Per-job run manifests: what ran, how long, and what it measured.
 
 One manifest is written next to each cache entry
-(``<key>.manifest.json`` beside ``<key>.json``) by the runner's
-executor after a fresh (non-cached) job completes.  Manifests are the
+(``<key>.manifest.json`` beside ``<key>.json``) by the fleet worker
+after a fresh (non-cached) job completes.  Manifests are the
 durable forensic record the report CLI reads: even after the payload is
 consumed and the progress line has scrolled away, the manifest still
 says which spec hash/seed produced the row, how wall time split across

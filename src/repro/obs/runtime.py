@@ -1,6 +1,6 @@
 """Job-scoped observation context shared between the runner and jobs.
 
-The executor wraps every job attempt in :func:`observe_job`; simulation
+The fleet worker wraps every job attempt in :func:`observe_job`; simulation
 code (e.g. :func:`repro.experiments.common.run_dumbbell`) then reaches
 the active observation through module-level accessors without any
 plumbing through job parameters — crucially, job *specs* (and therefore
@@ -162,7 +162,7 @@ def adopt_collector(collector: Optional[Collector]) -> bool:
     inside the snapshot (it is attached to queues/senders/links in the
     simulator graph).  The fresh :class:`JobObservation` made for the
     retry attempt must report *that* collector's metrics, not the empty
-    one it constructed — the executor calls this after a successful
+    one it constructed — the job harness calls this after a successful
     resume.  Returns ``True`` if an adoption happened.
     """
     if _ACTIVE is None or collector is None:

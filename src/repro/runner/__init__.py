@@ -10,7 +10,8 @@ wall-clock speed and incremental re-runs:
   ``$REPRO_CACHE_DIR``) so re-running a figure only simulates changed
   points;
 * :func:`run_jobs` — process fan-out with per-job timeout, bounded
-  retry, and crash isolation; ``workers=0`` is the serial debug path;
+  retry, and crash isolation, as a drain of an ephemeral
+  :mod:`repro.fleet` queue; ``workers=0`` is the serial debug path;
 * :class:`RunnerStats` — jobs done/failed/cached plus events-per-second
   throughput, delivered through a ``progress`` hook.
 

@@ -1,9 +1,8 @@
 """Progress counters and hooks for runner executions.
 
-The executor updates one :class:`RunnerStats` per call to
-:func:`repro.runner.run_jobs` and invokes the user's ``progress`` hook
-with it after every job settles (fresh completion, cache hit, or final
-failure).  ``events`` counts simulator events actually processed this
+:func:`repro.runner.run_jobs` updates one :class:`RunnerStats` per
+call and invokes the user's ``progress`` hook with it after every job
+settles (fresh completion, cache hit, or final failure).  ``events`` counts simulator events actually processed this
 run — cache hits contribute nothing — so ``events_per_second`` is the
 live simulation throughput the ROADMAP cares about.
 """

@@ -333,8 +333,7 @@ async function poll() {
       $("fleetTiles").innerHTML =
         tile("pending", q.pending) + tile("leased", q.leased) +
         tile("done", q.done) + tile("failed", q.failed) +
-        tile("fresh", fl.done_fresh) + tile("store hits", fl.done_hit) +
-        tile("requeued", fl.requeued) + tile("workers", fl.workers_alive);
+        tile("workers", fl.workers_alive);
     }
     $("jobs").innerHTML = table(
       ["key", "scheme", "seed", "state", "phase", "sim t", "ev/s", "wall s"],

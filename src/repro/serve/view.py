@@ -57,14 +57,9 @@ class RunView:
         self._runs: List[dict] = []
         self._event_count = 0
         self._fleet: Dict[str, object] = {
-            "seen": False,  # any fleet_* event observed yet?
             "queue": None,  # latest fleet_queue depth snapshot
             "workers": {},  # worker id -> "started" | "exited"
             "sweeps": [],  # fleet_submitted receipts, submit order
-            "done_fresh": 0,
-            "done_hit": 0,
-            "failed": 0,
-            "requeued": 0,
         }
 
     # ------------------------------------------------------------------
@@ -179,14 +174,11 @@ class RunView:
     def _apply_fleet(self, etype: str, ev: dict) -> None:
         """Fold one ``fleet_*`` bus event into the fleet rollup.
 
-        Fleet events describe the *queue*, not individual runner jobs —
-        their ``key`` fields are content-addressed store keys, so they
-        are aggregated here instead of entering the per-job table (the
-        per-job telemetry still arrives separately from inside each
-        leased run).
+        Fleet events describe the queue and its workers, not any one
+        job, so they are aggregated here instead of entering the per-job
+        table (which the ``job_*`` events fill, fleet runs included).
         """
         fl = self._fleet
-        fl["seen"] = True
         if etype == "fleet_queue":
             fl["queue"] = {
                 state: ev.get(state)
@@ -201,15 +193,6 @@ class RunView:
                 "deduped": ev.get("deduped"),
                 "ts": ev.get("ts"),
             })
-        elif etype == "fleet_done":
-            if ev.get("store") == "hit":
-                fl["done_hit"] += 1
-            else:
-                fl["done_fresh"] += 1
-        elif etype == "fleet_failed":
-            fl["failed"] += 1
-        elif etype == "fleet_requeued":
-            fl["requeued"] += 1
 
     # ------------------------------------------------------------------
     # API payloads
@@ -218,17 +201,15 @@ class RunView:
         """Fleet rollup for ``/api/runs``; ``None`` until fleet events show.
 
         ``queue`` is the latest ``fleet_queue`` depth snapshot,
-        ``workers_alive`` counts workers that started and have not
-        emitted their exit event (a SIGKILLed worker therefore stays
-        "alive" here until its leases expire — exactly the ambiguity the
-        queue's TTL machinery exists to resolve).
+        ``workers_alive`` counts workers a drain started and has not yet
+        reaped or killed.
         """
         with self._lock:
             return self._fleet_locked()
 
     def _fleet_locked(self) -> Optional[dict]:
         fl = self._fleet
-        if not fl["seen"]:
+        if not (fl["queue"] or fl["workers"] or fl["sweeps"]):
             return None
         workers = fl["workers"]
         return {
@@ -236,10 +217,6 @@ class RunView:
             "workers_alive": sum(1 for s in workers.values() if s == "started"),
             "workers_seen": len(workers),
             "sweeps": [dict(s) for s in fl["sweeps"]],
-            "done_fresh": fl["done_fresh"],
-            "done_hit": fl["done_hit"],
-            "failed": fl["failed"],
-            "requeued": fl["requeued"],
         }
 
     def runs(self) -> dict:

@@ -8,9 +8,9 @@ fork-able work:
   a restored run continues bit-identically to an uninterrupted one.
 * :func:`fork` / :func:`fork_bytes` — N divergent continuations of one
   warm checkpoint, with deterministic per-fork RNG reseeding.
-* :mod:`repro.snapshot.runtime` — the checkpoint slot the runner's
-  executor installs around each job attempt (periodic checkpoint,
-  resume after crash/timeout).
+* :mod:`repro.snapshot.runtime` — the checkpoint slot the fleet worker
+  installs around each job attempt (periodic checkpoint, resume after
+  crash/timeout).
 * ``python -m repro.snapshot inspect|verify|diff`` — checkpoint tooling.
 
 See ``docs/ARCHITECTURE.md`` (Snapshot subsystem) for format details,

@@ -1,6 +1,6 @@
 """Job-scoped checkpoint context shared between the runner and jobs.
 
-Mirrors :mod:`repro.obs.runtime`: the executor wraps a job attempt in
+Mirrors :mod:`repro.obs.runtime`: the fleet worker wraps a job attempt in
 :func:`checkpoint_scope`, and checkpoint-aware job code (the dumbbell
 harness) reaches the active slot through :func:`active_checkpoint`
 without any plumbing through job parameters — job *specs* (and cache
@@ -11,7 +11,7 @@ The slot's life cycle over a crashy job::
 
     attempt 1:  resume() -> None, save() every interval, worker killed
     attempt 2:  resume() -> state at the last checkpoint, continues,
-                finishes; executor records lineage and deletes the file
+                finishes; worker records lineage and deletes the file
 
 Checkpoint *interval* is simulated seconds between periodic saves; the
 ``REPRO_CHECKPOINT`` environment variable supplies it when the
@@ -164,5 +164,5 @@ def checkpoint_scope(path: Optional[Union[str, Path]], interval: Optional[float]
 
 
 def active_checkpoint() -> Optional[CheckpointSlot]:
-    """The slot installed by the executor for this job attempt, if any."""
+    """The slot installed by the fleet worker for this job attempt, if any."""
     return _ACTIVE

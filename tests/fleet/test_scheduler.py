@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.runner.spec import JobSpec
 
 ECHO = "tests.runner.jobs:echo"
 BOOM = "tests.runner.jobs:boom"
+CRASH = "tests.runner.jobs:crash"
+SLEEPY = "tests.runner.jobs:sleepy"
 
 
 def test_submit_drain_results_roundtrip(tmp_path):
@@ -81,6 +84,30 @@ def test_drain_with_local_transport(tmp_path):
     assert fleet.status()["computed"]["fresh"] == 8
 
 
+def test_crash_is_released_without_waiting_for_lease_expiry(tmp_path):
+    fleet = Fleet(tmp_path / "fleet", ttl=30.0, max_attempts=2)
+    receipt = fleet.submit([(CRASH, {})])
+    t0 = time.monotonic()
+    counts = fleet.drain(workers=1)
+    assert time.monotonic() - t0 < 10.0  # well inside the 30 s TTL
+    assert counts["failed"] == 1
+    (entry,) = fleet.results(receipt)
+    assert "crashed" in entry["error"] and "exit code 3" in entry["error"]
+    assert fleet.queue.jobs[receipt.keys[0]].attempts == 2
+
+
+def test_overdue_lease_is_killed_without_waiting_for_lease_expiry(tmp_path):
+    fleet = Fleet(tmp_path / "fleet", ttl=30.0, max_attempts=1)
+    receipt = fleet.submit([(SLEEPY, {"seconds": 60.0}), (ECHO, {"value": 1})])
+    t0 = time.monotonic()
+    counts = fleet.drain(workers=2, timeout=0.5)
+    assert time.monotonic() - t0 < 10.0
+    assert counts == {"pending": 0, "leased": 0, "done": 1, "failed": 1}
+    hung, echo = fleet.results(receipt)
+    assert hung["error"] == "timed out after 0.5s"
+    assert echo["payload"] == {"value": 1}
+
+
 def test_bus_events_flow(tmp_path):
     fleet = Fleet(tmp_path / "fleet")
     fleet.submit([(ECHO, {"value": 1})], sweep="s")
@@ -88,7 +115,7 @@ def test_bus_events_flow(tmp_path):
     lines = (fleet.root / "events.jsonl").read_text().splitlines()
     types = [json.loads(line)["type"] for line in lines]
     for expected in ("fleet_submitted", "fleet_queue", "fleet_worker",
-                     "fleet_leased", "fleet_done"):
+                     "job_started", "job_finished"):
         assert expected in types, f"missing {expected} in {types}"
 
 
@@ -132,6 +159,23 @@ def test_sweep_dumbbell_fleet_path_matches_runner(tmp_path):
     again = sweep_dumbbell(points, workers=0, fleet=fleet, **kwargs)
     assert again == plain
     assert fleet.status()["computed"] == before
+
+
+def test_sweep_dumbbell_fleet_path_honours_progress_and_timeout(tmp_path):
+    """The fleet path takes every runner option and leaves the fleet be."""
+    from repro.experiments.sweep import sweep_dumbbell
+    fleet = Fleet(tmp_path / "fleet", checkpoint=None)
+    snaps = []
+    rows = sweep_dumbbell(
+        [{"duration": 1.0}, {"duration": 1e6}], schemes=("pert",),
+        bandwidth=1e6, n_fwd=1, warmup=0.2, workers=2, timeout=1.5,
+        retries=0, checkpoint=5.0, fleet=fleet,
+        progress=lambda s: snaps.append(s.snapshot()),
+    )
+    assert not rows[0].get("failed")
+    assert rows[1]["failed"] and "timed out" in rows[1]["error"]
+    assert snaps and snaps[-1]["done"] == 1 and snaps[-1]["failed"] == 1
+    assert fleet.checkpoint is None  # the caller's handle is unchanged
 
 
 def test_warm_start_and_fleet_are_exclusive(tmp_path):

@@ -101,12 +101,6 @@ def test_runview_aggregates_fleet_events(tmp_path):
     bus.emit("fleet_queue", pending=2, leased=0, done=1, failed=0)
     bus.emit("fleet_worker", worker="w1", state="started")
     bus.emit("fleet_worker", worker="w2", state="started")
-    bus.emit("fleet_leased", key="a" * 64, worker="w1", expires=99.0,
-             attempt=1)
-    bus.emit("fleet_done", key="a" * 64, worker="w1", store="fresh")
-    bus.emit("fleet_done", key="b" * 64, worker="w2", store="hit")
-    bus.emit("fleet_requeued", key="c" * 64, reason="lease_expired")
-    bus.emit("fleet_failed", key="c" * 64, worker="w2", error="boom")
     bus.emit("fleet_worker", worker="w2", state="exited")
     bus.emit("fleet_queue", pending=0, leased=0, done=2, failed=1)
     bus.close()
@@ -117,8 +111,6 @@ def test_runview_aggregates_fleet_events(tmp_path):
                               "failed": 1}
     assert fleet["workers_alive"] == 1 and fleet["workers_seen"] == 2
     assert fleet["sweeps"][0]["sweep"] == "s"
-    assert fleet["done_fresh"] == 1 and fleet["done_hit"] == 1
-    assert fleet["failed"] == 1 and fleet["requeued"] == 1
     # fleet events aggregate; they must not pollute the per-job table
     assert view.jobs() == []
     assert view.runs()["fleet"]["queue"]["done"] == 2
@@ -189,6 +181,29 @@ def test_api_endpoints_serve_run_state(live_server):
     assert "pert" in metrics["schemes"]
     history = _get_json(url + "api/history")
     assert history["entries"] == []
+
+
+def test_persistent_fleet_run_fills_the_job_table(tmp_path):
+    """Fleet jobs reach /api/jobs through the same job_* events."""
+    from repro.fleet import Fleet
+
+    fleet = Fleet(tmp_path / "fleet")
+    specs = [
+        JobSpec(kind="tests.runner.jobs:events",
+                params={"value": i, "events": 20, "scheme": "pert", "seed": i})
+        for i in range(2)
+    ]
+    assert all(r.ok for r in run_jobs(specs, workers=0, fleet=fleet))
+    server, url = serve_in_background(fleet.root)
+    try:
+        jobs = _get_json(url + "api/jobs")["jobs"]
+        runs = _get_json(url + "api/runs")
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert sorted(j["key"] for j in jobs) == sorted(s.cache_key for s in specs)
+    assert all(j["state"] == "done" and j["scheme"] == "pert" for j in jobs)
+    assert runs["fleet"]["queue"]["done"] == 2
 
 
 def test_dashboard_page_and_404(live_server):
